@@ -238,7 +238,7 @@ def ecdf(shape, n, output, scale, seed, workers, normalize_volume):
               help="Fitted biased size CDF (CSV); report goes to a .json "
                    "sidecar.")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--max-iter", type=int, default=5000, show_default=True)
+@click.option("--max-iter", type=int, default=20000, show_default=True)
 @click.option("--unbias", "do_unbias", is_flag=True, default=False,
               help="Also write the unbiased size CDF.")
 @_common_options
@@ -256,7 +256,8 @@ def unfold(observations, shape, n, output, tol, max_iter, do_unbias, seed,
             raise ValueError("observations file is empty")
         body = resolve_shape(shape, normalize_volume)
         reference = ReferenceDensity.from_body(body, size=n,
-                                               rng=RngStream(seed))
+                                               rng=RngStream(seed),
+                                               workers=workers)
         roots = np.sqrt(areas) if body.dim == 3 else areas
         result = npmle_em(roots, reference, tol=tol, max_iter=max_iter)
         save_step_cdf_csv(result.step_cdf, output, config=config.to_dict())

@@ -133,6 +133,29 @@ class ConvexBody:
         return np.array(tris, dtype=np.intp)
 
     @cached_property
+    def _edge_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unique edges (ne, 2) and signed facet-edge incidence (nf, ne).
+
+        Entry (f, e) is +1 when facet f's boundary runs along edge e from
+        its first to its second vertex, -1 when it runs the other way and
+        0 off the facet.  A 2D facet is itself an edge, so there the
+        incidence is the identity.
+        """
+        if self.dim == 2:
+            edges = np.array(self.facets, dtype=np.intp)
+            return edges, np.eye(len(edges))
+        index: dict[tuple, int] = {}
+        entries = []  # (facet, edge, sign)
+        for f, facet in enumerate(self.facets):
+            for a, b in zip(facet, facet[1:] + facet[:1]):
+                e = index.setdefault((min(a, b), max(a, b)), len(index))
+                entries.append((f, e, 1.0 if a < b else -1.0))
+        rows, cols, signs = zip(*entries)
+        incidence = np.zeros((len(self.facets), len(index)))
+        incidence[rows, cols] = signs
+        return np.array(list(index), dtype=np.intp), incidence
+
+    @cached_property
     def facet_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward facet equations (normals, offsets): n.x <= c inside."""
         if self.kind == "ball":
@@ -438,17 +461,22 @@ def section_volume(body: ConvexBody, plane: Hyperplane) -> float:
 
     Chord length in 2D, polygon area in 3D, 0 when the plane misses the
     body or only touches a vertex or edge; a plane containing a facet
-    yields the facet's volume.
+    yields the facet's volume when its direction is the facet's outward
+    normal, and 0 when it points into the body.
     """
     theta = np.asarray(plane.direction, dtype=float)[None, :]
     return float(section_volumes(body, theta, np.array([plane.offset]))[0])
 
 
-def section_volumes(body: ConvexBody, thetas, offsets) -> np.ndarray:
+def section_volumes(body: ConvexBody, thetas, offsets,
+                    heights=None) -> np.ndarray:
     """Vectorized section volumes for a batch of hyperplanes.
 
-    ``thetas`` is (m, dim) with unit rows, ``offsets`` is (m,).  Evaluation
-    is chunked internally so memory stays bounded for large batches.
+    ``thetas`` is (m, dim) with unit rows, ``offsets`` is (m,).  A caller
+    that already has the vertex heights ``vertices @ thetas.T`` (nv, m)
+    may pass them as ``heights``; otherwise they are computed here.
+    Evaluation is chunked internally so memory stays bounded for large
+    batches, and the result does not depend on the chunk boundaries.
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -462,77 +490,67 @@ def section_volumes(body: ConvexBody, thetas, offsets) -> np.ndarray:
         gap = np.maximum(body.radius**2 - delta**2, 0.0)
         return np.pi * gap if body.dim == 3 else 2.0 * np.sqrt(gap)
 
+    nv, (nf, ne) = len(body.vertices), body._edge_incidence[1].shape
+    # float64 temporaries per section; a chunk's stay below about 40 MB
+    floats = 2 * nv + 14 * ne + 12 * nf
+    chunk = max(1024, min(1 << 16, int(4e7 / (8.0 * floats))))
     out = np.empty(m)
-    if body.dim == 2:
-        chunk = 1 << 16
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            out[lo:hi] = _chords_polygon(body, thetas[lo:hi], offsets[lo:hi])
-        return out
-    ntri = len(body._triangles)
-    chunk = max(1024, min(1 << 16, int(4e7 / (ntri * 144.0 + 1.0))))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        out[lo:hi] = _areas_polytope(body, thetas[lo:hi], offsets[lo:hi])
+        if heights is None:
+            # elementwise, unlike a matrix product, rounds each entry the
+            # same way wherever the chunk boundaries fall
+            h = body.vertices[:, 0, None] * thetas[lo:hi, 0]
+            for k in range(1, body.dim):
+                h += body.vertices[:, k, None] * thetas[lo:hi, k]
+        else:
+            h = heights[:, lo:hi]
+        out[lo:hi] = _edge_sections(body, thetas[lo:hi], h - offsets[lo:hi])
     return out
 
 
-def _chords_polygon(body, thetas, offsets) -> np.ndarray:
-    v = body.vertices
-    edges = np.array(body.facets, dtype=np.intp)
-    d = v @ thetas.T - offsets  # (nv, m) signed vertex heights
-    pos = d >= 0.0  # on-plane counts as the positive side
-    da, db = d[edges[:, 0]], d[edges[:, 1]]
-    crossing = pos[edges[:, 0]] != pos[edges[:, 1]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(crossing, da / (da - db), 0.0)
-    va, vb = v[edges[:, 0]], v[edges[:, 1]]
-    q = va[:, None, :] + t[:, :, None] * (vb - va)[:, None, :]
-    u = np.column_stack([-thetas[:, 1], thetas[:, 0]])  # in-line direction
-    tau = np.einsum("emk,mk->em", q, u)
-    lo = np.where(crossing, tau, np.inf).min(axis=0)
-    hi = np.where(crossing, tau, -np.inf).max(axis=0)
-    return np.maximum(hi - lo, 0.0)
+def _edge_sections(body, thetas, d) -> np.ndarray:
+    """Section volumes from the planes' crossings of the body's edges.
 
-
-def _areas_polytope(body, thetas, offsets) -> np.ndarray:
-    """Cross section areas by directed facet-segment accumulation.
-
-    Each facet triangle crossed by a plane contributes one directed
-    boundary segment of the (convex) section polygon; summing the planar
-    shoelace terms theta . (q_start x q_end) / 2 over all segments gives
-    the polygon area without any global vertex ordering.  The direction
-    of a segment follows from which side of the plane the triangle's lone
-    vertex lies on, and subdividing facets into coplanar triangles leaves
-    the sum unchanged.
+    ``d`` holds the signed vertex heights above each plane (nv, m); a
+    vertex on the plane counts as above.  An edge whose ends lie on
+    opposite sides is crossed at ``q_e`` with sign ``c_e`` = +1 going down
+    from its first to its second vertex and -1 going up.  In 2D the chord
+    is sum_e c_e (u . q_e) along the line direction u.  In 3D each crossed
+    facet meets the plane in one segment from its down-crossing q_d to its
+    up-crossing q_u (in boundary order), and the area is the shoelace sum
+    theta . (q_d x q_u) / 2 over facets.  With A = |F| q = q_d + q_u and
+    B = F (c q) = q_d - q_u over the signed facet-edge incidence F, that
+    is -theta . (A x B) / 4, with no global ordering of section vertices.
     """
     v = body.vertices
-    tris = body._triangles
-    d = v @ thetas.T - offsets  # (nv, m) signed vertex heights
-    pos = d >= 0.0  # on-plane counts as the positive side
-
-    qs, crossed = [], []
+    edges, incidence = body._edge_incidence
+    ia, ib = edges[:, 0], edges[:, 1]
+    pos = d >= 0.0
+    cross = np.subtract(pos[ia], pos[ib], dtype=float)  # c_e in {-1, 0, 1}
+    da, db = d[ia], d[ib]
+    t = np.divide(da, da - db, out=np.zeros_like(da), where=cross != 0.0)
+    if body.dim == 2:
+        tau = v[:, 1, None] * thetas[:, 0] - v[:, 0, None] * thetas[:, 1]
+        ta = tau[ia]
+        chord = (cross * (ta + t * (tau[ib] - ta))).sum(axis=0)
+        return np.maximum(chord, 0.0)
+    crossed = np.abs(cross)
+    va, dv = v[ia], v[ib] - v[ia]
+    q = np.empty((3,) + da.shape)  # crossing points, 0 off crossed edges
     for k in range(3):
-        ia, ib = tris[:, k], tris[:, (k + 1) % 3]
-        da, db = d[ia], d[ib]
-        cross_k = pos[ia] != pos[ib]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(cross_k, da / (da - db), 0.0)
-        va, vb = v[ia], v[ib]
-        qs.append(va[:, None, :] + t[:, :, None] * (vb - va)[:, None, :])
-        crossed.append(cross_k)
-
-    area = np.zeros(thetas.shape[0])
-    # combo (i, j): edges i and j share (lone) vertex tris[:, j]; the
-    # segment runs q_j -> q_i when that vertex is on the positive side
-    for i, j, lone in ((0, 1, 1), (1, 2, 2), (2, 0, 0)):
-        pair = crossed[i] & crossed[j]
-        if not pair.any():
-            continue
-        det = np.einsum("tmk,mk->tm", np.cross(qs[j], qs[i]), thetas)
-        sig = np.where(pos[tris[:, lone]], 1.0, -1.0)
-        area += np.where(pair, 0.5 * det * sig, 0.0).sum(axis=0)
-    return np.maximum(area, 0.0)
+        np.multiply(crossed, va[:, k, None], out=q[k])
+        q[k] += t * dv[:, k, None]
+    a = np.abs(incidence) @ q
+    b = incidence @ (cross * q)
+    det = (thetas[:, 0] * (a[1] * b[2] - a[2] * b[1])
+           + thetas[:, 1] * (a[2] * b[0] - a[0] * b[2])
+           + thetas[:, 2] * (a[0] * b[1] - a[1] * b[0]))  # (nf, m)
+    # add facets in a fixed order: sum(axis=0) turns pairwise when m == 1
+    total = det[0].copy()
+    for row in det[1:]:
+        total += row
+    return np.maximum(-0.25 * total, 0.0)
 
 
 def section_volume_by_clipping(body: ConvexBody, plane: Hyperplane) -> float:

@@ -9,16 +9,17 @@ section volumes are distributed like the volume of an IUR section.
 Fixed-orientation (FUR) sections skip rejection: for a fixed direction
 the offset is uniform on the body's support interval.
 
-Proposals are sharded over ``workers`` independent substreams and merged
-in stream order, so results are reproducible for a fixed worker count
-regardless of execution schedule.  Each proposal consumes exactly ``dim``
-uniforms from its stream, which makes the draws independent of the
-internal batch size.
+Proposals are sharded over ``workers`` independent substreams, run in
+parallel processes and merged in stream order, so results are
+reproducible for a fixed worker count regardless of execution schedule.
+Each proposal consumes exactly ``dim`` uniforms from its stream, which
+makes the draws independent of the internal batch size.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,9 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     The body is recentered at its centroid and enclosed in the smallest
     centroid-centered sphere before rejection sampling.  Worker ``w``
     draws its quota from substream ``rng.derive(w)``; accepted values are
-    concatenated in worker order.
+    concatenated in worker order.  The shards run in a pool of forked
+    processes, at most one per usable core, so the values depend on
+    ``workers`` but not on the core count.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -122,17 +125,23 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
 
     quotas = [size // workers + (1 if w < size % workers else 0)
               for w in range(workers)]
-    chunks, proposed = [], 0
-    for w, quota in enumerate(quotas):
-        if quota == 0:
-            continue
-        vals, nprop = _worker_draws(centered, radius, quota,
-                                    rng.derive(w), batch_size)
-        chunks.append(vals)
-        proposed += nprop
+    shards = [(centered, radius, quota, rng.derive(w), batch_size)
+              for w, quota in enumerate(quotas) if quota]
+    processes = min(len(shards), len(os.sched_getaffinity(0)))
+    if processes == 1:
+        results = [_worker_draws(*shard) for shard in shards]
+    else:
+        # imported here: about 20 ms at start-up that serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # map yields in shard order, so the merge ignores the schedule
+        with ProcessPoolExecutor(processes,
+                                 mp_context=get_context("fork")) as pool:
+            results = list(pool.map(_worker_draws, *zip(*shards)))
     return SectionSample(
-        values=np.concatenate(chunks),
-        n_proposed=proposed,
+        values=np.concatenate([vals for vals, _ in results]),
+        n_proposed=sum(nprop for _, nprop in results),
         n_accepted=size,
         seed=rng.seed,
         body_label=body.label,
@@ -151,10 +160,12 @@ def _worker_draws(body, radius, quota, stream, batch_size):
         thetas = _directions_from_uniforms(u)
         offsets = radius * u[:, dim - 1]
         if body.kind == "ball":
+            heights = None
             hits = offsets <= body.radius  # always true: radius == R
         else:
-            d = body.vertices @ thetas.T
-            hits = (offsets >= d.min(axis=0)) & (offsets <= d.max(axis=0))
+            heights = body.vertices @ thetas.T
+            hits = ((offsets >= heights.min(axis=0))
+                    & (offsets <= heights.max(axis=0)))
         csum = np.cumsum(hits)
         if csum[-1] >= quota - got:
             # stop at the proposal delivering the last needed acceptance
@@ -165,7 +176,9 @@ def _worker_draws(body, radius, quota, stream, batch_size):
             nprop += batch_size
         idx = np.nonzero(hits)[0]
         if idx.size:
-            parts.append(section_volumes(body, thetas[idx], offsets[idx]))
+            parts.append(section_volumes(
+                body, thetas[idx], offsets[idx],
+                None if heights is None else heights[:, idx]))
             got += idx.size
     return np.concatenate(parts), nprop
 

@@ -199,11 +199,11 @@ class ReferenceDensity:
 
     @classmethod
     def from_body(cls, body: ConvexBody, size: int = 1_000_000,
-                  rng: RngStream | None = None, grid_points: int = 512
-                  ) -> "ReferenceDensity":
+                  rng: RngStream | None = None, grid_points: int = 512,
+                  workers: int = 1) -> "ReferenceDensity":
         if rng is None:
             rng = RngStream(0)
-        sample = sample_iur_sections(body, size, rng)
+        sample = sample_iur_sections(body, size, rng, workers=workers)
         est = estimate_root_density(sample, grid_points=grid_points)
         return cls.from_estimate(est)
 
@@ -262,7 +262,7 @@ class UnfoldResult:
 
 
 def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
-             max_iter: int = 5000) -> UnfoldResult:
+             max_iter: int = 20000) -> UnfoldResult:
     """Nonparametric MLE of the biased size distribution by EM.
 
     Support is fixed at the observed values (duplicates merged); only the

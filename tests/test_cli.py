@@ -155,6 +155,24 @@ class TestUnfoldCommand:
         unbiased = load_step_cdf_csv(tmp_path / "hb.unbiased.csv")
         assert unbiased.cumulative[-1] == 1.0
 
+    def test_workers_reruns_are_byte_identical(self, runner, tmp_path,
+                                               ball3):
+        s = sample_profile_sizes(ball3, Exponential(1.0), 100, RngStream(32))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(repr(float(a * a)) for a in s) + "\n")
+        runs = []
+        for workers in ("2", "2", "1"):
+            out = tmp_path / f"hb{workers}.csv"
+            run_ok(runner, ["unfold", "--observations", str(obs), "--shape",
+                            "ball", "--n", "20000", "--seed", "32",
+                            "--workers", workers, "-o", str(out)])
+            runs.append((out.read_bytes(),
+                         out.with_suffix(".report.json").read_bytes()))
+        assert runs[0] == runs[1]
+        # the reference density is drawn over the worker shards
+        assert json.loads(runs[0][1])["final_loglik"] != \
+            json.loads(runs[2][1])["final_loglik"]
+
     def test_missing_observations(self, runner, tmp_path):
         result = runner.invoke(main, ["unfold", "--observations",
                                       str(tmp_path / "nope.csv"),

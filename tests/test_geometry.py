@@ -183,19 +183,86 @@ class TestSectionVolume:
             ).max()
             offsets = np.random.default_rng(18).uniform(0, radius, 300)
             centered = translate_body(body, -body.centroid)
-            fast = section_volumes(centered, dirs, offsets)
-            slow = np.array([
-                section_volume_by_clipping(
-                    centered, Hyperplane(dirs[i], offsets[i])
-                )
-                for i in range(300)
-            ])
-            denom = np.maximum(np.maximum(fast, slow), 1e-300)
-            excess = np.maximum(np.abs(fast - slow) - 1e-15, 0.0)
-            assert (excess / denom).max() < 1e-9
+            _assert_matches_oracle(centered, dirs, offsets, offsets)
+        for body in (cube, dodecahedron, random_hull20):
+            centered = translate_body(body, -body.centroid)
+            _assert_matches_oracle(centered, *_degenerate_planes(centered))
+
+
+def _assert_matches_oracle(body, dirs, offsets, oracle_offsets):
+    fast = section_volumes(body, dirs, offsets)
+    slow = np.array([
+        section_volume_by_clipping(body, Hyperplane(theta, s))
+        for theta, s in zip(dirs, oracle_offsets)
+    ])
+    denom = np.maximum(np.maximum(fast, slow), 1e-300)
+    excess = np.maximum(np.abs(fast - slow) - 1e-15, 0.0)
+    assert (excess / denom).max() < 1e-9
+
+
+def _degenerate_planes(body):
+    """Planes through each vertex, containing each edge and containing
+    each facet of a centered 3D polytope: (directions, offsets, oracle
+    offsets).
+
+    Offsets come from vertex heights rounded as section_volumes rounds
+    them, so the incident vertices lie on the plane as the kernel sees
+    it.  Vertex and edge planes also pass through an interior point:
+    where a plane only touches the body the exact area is 0, and the
+    oracle's own rounding there (up to 1e-14 on a body of diameter 2)
+    exceeds the 1e-15 floor.  A facet plane is ill-posed in floating
+    point: the area jumps from the facet's to 0 across it, and rounding
+    picks the side.  The oracle therefore takes it from 1e-13 inside,
+    which changes the area by far less than the bound.
+    """
+    v = body.vertices
+    gen = np.random.default_rng(19)
+
+    def heights(theta):
+        return v[:, 0] * theta[0] + v[:, 1] * theta[1] + v[:, 2] * theta[2]
+
+    def plane(normal, vertex):
+        theta = normal / np.linalg.norm(normal)
+        s = heights(theta)[vertex]
+        return theta, s, s
+
+    planes = []
+    for i in range(len(v)):
+        for _ in range(2):
+            inner = gen.uniform(-0.1, 0.1, 3)
+            planes.append(plane(np.cross(v[i] - inner,
+                                         gen.standard_normal(3)), i))
+    edges = {tuple(sorted(pair)) for facet in body.facets
+             for pair in zip(facet, facet[1:] + facet[:1])}
+    for a, b in sorted(edges):
+        for _ in range(2):
+            inner = gen.uniform(-0.1, 0.1, 3)
+            planes.append(plane(np.cross(v[b] - v[a], inner - v[a]), a))
+    normals, _ = body.facet_planes
+    for facet, n in zip(body.facets, normals):
+        s = heights(n)[list(facet)].min()
+        planes.append((n, s, s - 1e-13))
+    dirs, offsets, oracle_offsets = zip(*planes)
+    return np.array(dirs), np.array(offsets), np.array(oracle_offsets)
 
 
 class TestSectionProperties:
+    def test_chunk_boundaries_do_not_change_values(self, square, cube,
+                                                   dodecahedron,
+                                                   random_hull20):
+        # 50000 planes span several internal chunks of every body
+        gen = np.random.default_rng(29)
+        for body in (square, cube, dodecahedron, random_hull20):
+            dirs = random_directions(body.dim, 50_000, seed=30)
+            offsets = gen.uniform(-0.8, 0.8, 50_000)
+            whole = section_volumes(body, dirs, offsets)
+            cuts = np.unique(np.concatenate(
+                [[0, 1, 6, 4103, 50_000], gen.integers(0, 50_000, 5)]))
+            pieces = [section_volumes(body, dirs[lo:hi], offsets[lo:hi])
+                      for lo, hi in zip(cuts[:-1], cuts[1:])]
+            assert np.array_equal(np.concatenate(pieces), whole)
+            assert (whole > 0).mean() > 0.5
+
     def test_oracle_agreement_is_scale_free(self, dodecahedron):
         gen = np.random.default_rng(23)
         for factor in (1e-6, 1.0, 1e6):

@@ -92,6 +92,31 @@ class TestIurSampling:
         solo = sample_iur_sections(cube, 2000, RngStream(42))
         assert not np.array_equal(one.values, solo.values)
 
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    def test_pooled_shards_match_serial_loop(self, dodecahedron, monkeypatch,
+                                             workers):
+        import concurrent.futures
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = sample_iur_sections(dodecahedron, 3000, RngStream(8),
+                                     workers=workers)
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = sample_iur_sections(dodecahedron, 3000, RngStream(8),
+                                     workers=workers)
+        assert pools == [2]  # one process per usable core, not per worker
+        assert np.array_equal(pooled.values, serial.values)
+        assert pooled.n_proposed == serial.n_proposed
+
     def test_recentering_matches_centered_body(self, cube):
         # recentering at the centroid makes position irrelevant (up to
         # float residue of the centroid computation)
