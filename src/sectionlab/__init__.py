@@ -35,7 +35,6 @@ from .geometry import (
     section_volumes,
     support_interval,
     translate_body,
-    unit_vector,
     volume,
 )
 from .oracles import ball_section_cdf, square_chord_density
@@ -44,7 +43,6 @@ from .sampling import (
     SectionSample,
     acceptance_estimate,
     enclosing_radius,
-    sample_direction,
     sample_directions,
     sample_fur_sections,
     sample_iur_sections,

@@ -16,6 +16,7 @@ from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import DegenerateInput
 from .geometry import ConvexBody, build_polytope
+from .io import write_json
 
 
 def body_to_dict(body: ConvexBody) -> dict:
@@ -99,6 +100,4 @@ def load_body(path, label: str | None = None) -> ConvexBody:
 
 
 def save_body(body: ConvexBody, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(body_to_dict(body), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(body_to_dict(body), path)

@@ -14,9 +14,8 @@ window reproduces the full sum bit for bit at any sample size.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,14 +139,8 @@ def untransform_density(estimate: DensityEstimate, dim: int,
         raise ValueError("input estimate must be on the root scale")
     if dim == 2:
         grid = estimate.grid if grid is None else np.asarray(grid, dtype=float)
-        return DensityEstimate(
-            grid=grid.copy(),
-            values=estimate.evaluate(grid),
-            bandwidth=estimate.bandwidth,
-            transform=VOLUME_SCALE,
-            sample_size=estimate.sample_size,
-            bandwidth_method=estimate.bandwidth_method,
-        )
+        return replace(estimate, grid=grid.copy(),
+                       values=estimate.evaluate(grid), transform=VOLUME_SCALE)
     if dim != 3:
         raise ValueError("dim must be 2 or 3")
     if grid is None:
@@ -160,14 +153,7 @@ def untransform_density(estimate: DensityEstimate, dim: int,
             )
     roots = np.sqrt(grid)
     values = estimate.evaluate(roots) / (2.0 * roots)
-    return DensityEstimate(
-        grid=grid,
-        values=values,
-        bandwidth=estimate.bandwidth,
-        transform=VOLUME_SCALE,
-        sample_size=estimate.sample_size,
-        bandwidth_method=estimate.bandwidth_method,
-    )
+    return replace(estimate, grid=grid, values=values, transform=VOLUME_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -380,59 +366,7 @@ def estimate_root_density(sample: SectionSample, grid_points: int = 512,
     return reflection_kde(x, h, grid, bandwidth_method=method)
 
 
-# ---------------------------------------------------------------------------
-# Files
-
-
-def save_density_csv(estimate: DensityEstimate, path,
-                     config: dict | None = None, body_label: str = ""
-                     ) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# transform: {estimate.transform}\n")
-        fh.write(f"# bandwidth: {float(estimate.bandwidth)!r}\n")
-        fh.write(f"# bandwidth_method: {estimate.bandwidth_method}\n")
-        fh.write(f"# sample_size: {estimate.sample_size}\n")
-        if body_label:
-            fh.write(f"# body_label: {body_label}\n")
-        if config is not None:
-            fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        fh.write("grid,value\n")
-        for z, v in zip(estimate.grid, estimate.values):
-            fh.write(f"{float(z)!r},{float(v)!r}\n")
-
-
-def density_metadata(estimate: DensityEstimate, body_label: str = "",
-                     config: dict | None = None) -> dict:
-    meta = {
-        "bandwidth": estimate.bandwidth,
-        "bandwidth_method": estimate.bandwidth_method,
-        "N": estimate.sample_size,
-        "transform": estimate.transform,
-        "body_label": body_label,
-    }
-    if config is not None:
-        meta["config"] = config
-    return meta
-
-
-def save_step_cdf_csv(cdf: StepCDF, path, config: dict | None = None
-                      ) -> None:
-    with open(path, "w") as fh:
-        if config is not None:
-            fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        fh.write("location,cumulative\n")
-        for loc, cum in zip(cdf.locations, cdf.cumulative):
-            fh.write(f"{float(loc)!r},{float(cum)!r}\n")
-
-
-def load_step_cdf_csv(path) -> StepCDF:
-    locations, cumulative = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("location"):
-                continue
-            loc, cum = line.split(",")
-            locations.append(float(loc))
-            cumulative.append(float(cum))
-    return StepCDF(np.array(locations), np.array(cumulative))
+# Kept for the benchmark, which binds these names here (the
+# ``unfold-dodeca`` output check and the traced file writers); remove them
+# in the next change to the benchmark.  Imported last: ``io`` needs StepCDF.
+from .io import load_step_cdf_csv, save_density_csv, save_step_cdf_csv

@@ -27,15 +27,6 @@ PLANE_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize ``v`` to unit length, rejecting near-zero input."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
-    return v / norm
-
-
 def _check_direction(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] not in (2, 3):
@@ -667,18 +658,14 @@ def inner_section_function(body: ConvexBody, theta) -> tuple[float, float]:
     return section_volume(body, Hyperplane(theta, s_star)), float(s_star)
 
 
-def mean_width(body: ConvexBody, quadrature_nodes: int = 200_000,
-               method: str | None = None, rng=None,
-               return_info: bool = False):
+def mean_width(body: ConvexBody, quadrature_nodes: int = 200_000) -> float:
     """Average width over directions, by spherical quadrature.
 
     2D uses the midpoint rule in angle over the upper half circle (the
     integrand is periodic, so this is the composite trapezoid rule up to
-    phase); 3D uses a Gauss-Legendre x uniform-longitude product rule by
-    default, or plain Monte Carlo with ``method="mc"``.  Relative error is
-    below 1e-3 for every built-in body at the default node count (the
-    product rule is far more accurate than that; Monte Carlo needs >= 1e6
-    nodes).
+    phase); 3D uses a Gauss-Legendre x uniform-longitude product rule.
+    Relative error is below 1e-3 for every built-in body at the default
+    node count.
     """
     if quadrature_nodes < 64:
         raise ValueError("mean width quadrature needs at least 64 nodes")
@@ -692,31 +679,16 @@ def mean_width(body: ConvexBody, quadrature_nodes: int = 200_000,
     if body.dim == 2:
         phi = (np.arange(quadrature_nodes) + 0.5) * np.pi / quadrature_nodes
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
-        value = float(width_of(dirs).mean())
-        info = {"method": "angular_midpoint", "nodes": quadrature_nodes}
-    elif method == "mc":
-        if quadrature_nodes < 1_000_000:
-            raise ValueError("Monte Carlo mean width needs >= 1e6 nodes")
-        gen = rng.generator() if rng is not None else np.random.default_rng(0)
-        z = gen.uniform(-1.0, 1.0, quadrature_nodes)
-        phi = gen.uniform(0.0, 2.0 * np.pi, quadrature_nodes)
-        rxy = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        dirs = np.column_stack([rxy * np.cos(phi), rxy * np.sin(phi), z])
-        value = float(width_of(dirs).mean())
-        info = {"method": "monte_carlo", "nodes": quadrature_nodes}
-    else:
-        mt = max(8, int(math.sqrt(quadrature_nodes / 2.0)))
-        mphi = 2 * mt
-        t, wt = np.polynomial.legendre.leggauss(mt)
-        t = 0.5 * (t + 1.0)  # z = cos(omega) on [0, 1]
-        wt = 0.5 * wt
-        phi = (np.arange(mphi) + 0.5) * 2.0 * np.pi / mphi
-        zz = np.repeat(t, mphi)
-        pp = np.tile(phi, mt)
-        rxy = np.sqrt(np.maximum(1.0 - zz * zz, 0.0))
-        dirs = np.column_stack([rxy * np.cos(pp), rxy * np.sin(pp), zz])
-        w = width_of(dirs).reshape(mt, mphi).mean(axis=1)
-        value = float(w @ wt)
-        info = {"method": "gauss_legendre_product", "nodes": mt * mphi}
-    info["dim"] = body.dim
-    return (value, info) if return_info else value
+        return float(width_of(dirs).mean())
+    mt = max(8, int(math.sqrt(quadrature_nodes / 2.0)))
+    mphi = 2 * mt
+    t, wt = np.polynomial.legendre.leggauss(mt)
+    t = 0.5 * (t + 1.0)  # z = cos(omega) on [0, 1]
+    wt = 0.5 * wt
+    phi = (np.arange(mphi) + 0.5) * 2.0 * np.pi / mphi
+    zz = np.repeat(t, mphi)
+    pp = np.tile(phi, mt)
+    rxy = np.sqrt(np.maximum(1.0 - zz * zz, 0.0))
+    dirs = np.column_stack([rxy * np.cos(pp), rxy * np.sin(pp), zz])
+    w = width_of(dirs).reshape(mt, mphi).mean(axis=1)
+    return float(w @ wt)

@@ -10,7 +10,6 @@ distributional invariances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,25 +51,3 @@ def ball_section_cdf(a, radius: float = 1.0):
     out = 1.0 - np.sqrt(np.maximum(1.0 - a / amax, 0.0))
     return out if out.ndim else float(out)
 
-
-@dataclass(frozen=True)
-class AnalyticDensity:
-    """A density in closed form with bounded support, for comparisons."""
-
-    evaluator: callable
-    support_max: float
-
-    def integral(self) -> float:
-        from scipy.integrate import quad
-
-        value, _ = quad(
-            lambda z: float(self.evaluator(z)),
-            0.0,
-            self.support_max,
-            points=[min(1.0, self.support_max)],
-            limit=200,
-        )
-        return value
-
-
-SQUARE_CHORD = AnalyticDensity(square_chord_density, SQUARE_CHORD_SUPPORT)

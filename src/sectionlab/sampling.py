@@ -18,7 +18,6 @@ makes the draws independent of the internal batch size.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -58,17 +57,6 @@ class SectionSample:
             raise ValueError("cannot accept more than proposed")
         if (self.values < 0).any():
             raise ValueError("section volumes must be nonnegative")
-
-    @property
-    def has_zero_values(self) -> bool:
-        """True when a degenerate (grazing) section produced a 0 volume."""
-        return bool((self.values == 0.0).any())
-
-
-def sample_direction(dim: int, rng: RngStream) -> np.ndarray:
-    """One isotropic unit vector; see ``sample_directions``."""
-    gen = rng.generator()
-    return _directions_from_uniforms(gen.random((1, dim)))[0]
 
 
 def _directions_from_uniforms(u: np.ndarray) -> np.ndarray:
@@ -204,78 +192,3 @@ def acceptance_estimate(sample: SectionSample) -> float:
     if sample.n_proposed <= 0:
         raise EmptySample("sample contains no proposals")
     return sample.n_accepted / sample.n_proposed
-
-
-# ---------------------------------------------------------------------------
-# Sample files
-
-
-def save_sample_csv(sample: SectionSample, path, config: dict | None = None
-                    ) -> None:
-    """One value per line, metadata as leading comment lines."""
-    with open(path, "w") as fh:
-        fh.write(f"# body_label: {sample.body_label}\n")
-        fh.write(f"# dim: {sample.dim}\n")
-        fh.write(f"# seed: {sample.seed}\n")
-        fh.write(f"# n_proposed: {sample.n_proposed}\n")
-        fh.write(f"# n_accepted: {sample.n_accepted}\n")
-        fh.write(f"# workers: {sample.workers}\n")
-        if config is not None:
-            fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        for v in sample.values:
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_sample_csv(path) -> SectionSample:
-    meta, values = {}, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                meta[key.strip()] = val.strip()
-            else:
-                values.append(float(line))
-    return SectionSample(
-        values=np.array(values),
-        n_proposed=int(meta["n_proposed"]),
-        n_accepted=int(meta["n_accepted"]),
-        seed=int(meta["seed"]),
-        body_label=meta.get("body_label", "body"),
-        dim=int(meta["dim"]),
-        workers=int(meta.get("workers", 1)),
-    )
-
-
-def save_sample_json(sample: SectionSample, path, config: dict | None = None
-                     ) -> None:
-    payload = {
-        "values": sample.values.tolist(),
-        "n_proposed": sample.n_proposed,
-        "n_accepted": sample.n_accepted,
-        "seed": sample.seed,
-        "body_label": sample.body_label,
-        "dim": sample.dim,
-        "workers": sample.workers,
-    }
-    if config is not None:
-        payload["config"] = config
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sample_json(path) -> SectionSample:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return SectionSample(
-        values=np.array(payload["values"], dtype=float),
-        n_proposed=payload["n_proposed"],
-        n_accepted=payload["n_accepted"],
-        seed=payload["seed"],
-        body_label=payload["body_label"],
-        dim=payload["dim"],
-        workers=payload.get("workers", 1),
-    )

@@ -274,7 +274,7 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
     if s_obs.size == 0:
         raise ValueError("no observations")
-    if (s_obs <= 0).any():
+    if not (s_obs > 0).all():  # also catches NaN
         raise ZeroLocation("observations must be strictly positive")
     atoms = np.unique(s_obs)
     n = s_obs.size

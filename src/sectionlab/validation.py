@@ -112,14 +112,9 @@ def check_square_chord_density(n: int = 1_000_000, seed: int = 0
     sample = sample_iur_sections(square, n, RngStream(seed))
     estimate = estimate_root_density(sample)
     grid = np.linspace(0.05, 1.35, 512)
-    sup_all = float(
-        np.abs(estimate.evaluate(grid) - oracles.square_chord_density(grid)).max()
-    )
-    away = np.abs(grid - 1.0) > 0.15
-    sup_away = float(
-        np.abs(estimate.evaluate(grid[away])
-               - oracles.square_chord_density(grid[away])).max()
-    )
+    err = np.abs(estimate.evaluate(grid) - oracles.square_chord_density(grid))
+    sup_all = float(err.max())
+    sup_away = float(err[np.abs(grid - 1.0) > 0.15].max())
     threshold = 0.08 * math.sqrt(1e6 / n)
     return CheckResult(
         "square_chord_density", sup_away <= threshold, sup_away, threshold,
@@ -185,65 +180,41 @@ def check_brunn_concavity(body: ConvexBody, seed: int = 0,
 # Invariance suites (distributional properties of the section law)
 
 
-def _invariance_trial(body, transformed, n, seed, postscale=1.0):
-    base = sample_iur_sections(body, n, RngStream(seed, 1))
-    other = sample_iur_sections(transformed, n, RngStream(seed, 2))
-    return ks_two_sample(base.values, other.values / postscale)
+# result name and the stream id of each transform's random draws
+_INVARIANCES = {"translation": ("translation_invariance", 0),
+                "rotation": ("rotation_invariance", 3),
+                "scaling": ("scaling_relation", 4)}
 
 
-def check_translation_invariance(body: ConvexBody, n: int = 100_000,
-                                 trials: int = INVARIANCE_TRIALS,
-                                 seed: int = 0) -> CheckResult:
+def check_invariance(kind: str, body: ConvexBody, n: int = 100_000,
+                     trials: int = INVARIANCE_TRIALS,
+                     seed: int = 0) -> CheckResult:
+    """Two-sample KS of the body's section law against a transformed copy.
+
+    ``kind`` is "translation", "rotation" or "scaling"; section volumes
+    of a copy scaled by lambda are divided by lambda^(dim-1) first.
+    """
+    name, stream_id = _INVARIANCES[kind]
     limit = _ks_limit(n)
     passes = 0
     worst = 0.0
     for t in range(trials):
-        gen = RngStream(seed, 0).derive(t).generator()
-        shift = gen.uniform(-2.0, 2.0, body.dim)
-        stat = _invariance_trial(body, translate_body(body, shift), n,
-                                 seed + t)
+        gen = RngStream(seed, stream_id).derive(t).generator()
+        postscale = 1.0
+        if kind == "translation":
+            copy = translate_body(body, gen.uniform(-2.0, 2.0, body.dim))
+        elif kind == "rotation":
+            copy = rotate_body(body, random_rotation(body.dim, gen))
+        else:
+            lam = gen.uniform(0.5, 2.0)
+            copy, postscale = scale_body(body, lam), lam ** (body.dim - 1)
+        base = sample_iur_sections(body, n, RngStream(seed + t, 1))
+        other = sample_iur_sections(copy, n, RngStream(seed + t, 2))
+        stat = ks_two_sample(base.values, other.values / postscale)
         worst = max(worst, stat)
         passes += stat < limit
     need = math.ceil(trials * INVARIANCE_MIN_PASSES / INVARIANCE_TRIALS)
-    return CheckResult("translation_invariance", passes >= need,
-                       float(passes), float(need),
-                       f"worst KS={worst:.4g} limit={limit:.4g}")
-
-
-def check_rotation_invariance(body: ConvexBody, n: int = 100_000,
-                              trials: int = INVARIANCE_TRIALS,
-                              seed: int = 0) -> CheckResult:
-    limit = _ks_limit(n)
-    passes = 0
-    worst = 0.0
-    for t in range(trials):
-        gen = RngStream(seed, 3).derive(t).generator()
-        rot = random_rotation(body.dim, gen)
-        stat = _invariance_trial(body, rotate_body(body, rot), n, seed + t)
-        worst = max(worst, stat)
-        passes += stat < limit
-    need = math.ceil(trials * INVARIANCE_MIN_PASSES / INVARIANCE_TRIALS)
-    return CheckResult("rotation_invariance", passes >= need,
-                       float(passes), float(need),
-                       f"worst KS={worst:.4g} limit={limit:.4g}")
-
-
-def check_scaling_relation(body: ConvexBody, n: int = 100_000,
-                           trials: int = INVARIANCE_TRIALS,
-                           seed: int = 0) -> CheckResult:
-    limit = _ks_limit(n)
-    passes = 0
-    worst = 0.0
-    for t in range(trials):
-        gen = RngStream(seed, 4).derive(t).generator()
-        lam = gen.uniform(0.5, 2.0)
-        stat = _invariance_trial(body, scale_body(body, lam), n, seed + t,
-                                 postscale=lam ** (body.dim - 1))
-        worst = max(worst, stat)
-        passes += stat < limit
-    need = math.ceil(trials * INVARIANCE_MIN_PASSES / INVARIANCE_TRIALS)
-    return CheckResult("scaling_relation", passes >= need,
-                       float(passes), float(need),
+    return CheckResult(name, passes >= need, float(passes), float(need),
                        f"worst KS={worst:.4g} limit={limit:.4g}")
 
 
@@ -287,7 +258,6 @@ def run_shape_checks(body: ConvexBody, n: int, seed: int,
     results.append(check_section_oracle(body, min(2000, n), seed))
     results.append(check_brunn_concavity(body, seed))
     inv_n = min(n, 100_000)
-    results.append(check_translation_invariance(body, inv_n, trials, seed))
-    results.append(check_rotation_invariance(body, inv_n, trials, seed))
-    results.append(check_scaling_relation(body, inv_n, trials, seed))
+    for kind in ("translation", "rotation", "scaling"):
+        results.append(check_invariance(kind, body, inv_n, trials, seed))
     return results

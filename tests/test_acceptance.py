@@ -33,10 +33,8 @@ from sectionlab.stereology import (
 )
 from sectionlab.validation import (
     check_inclusion_bound,
-    check_rotation_invariance,
-    check_scaling_relation,
+    check_invariance,
     check_section_oracle,
-    check_translation_invariance,
     ks_vs_cdf,
 )
 
@@ -111,9 +109,9 @@ def test_criterion_4_invariance_suite():
     started = time.perf_counter()
     cube = builtin_body("cube")
     results = [
-        check_translation_invariance(cube, n=100_000, trials=20, seed=0),
-        check_rotation_invariance(cube, n=100_000, trials=20, seed=0),
-        check_scaling_relation(cube, n=100_000, trials=20, seed=0),
+        check_invariance("translation", cube, n=100_000, trials=20, seed=0),
+        check_invariance("rotation", cube, n=100_000, trials=20, seed=0),
+        check_invariance("scaling", cube, n=100_000, trials=20, seed=0),
         check_inclusion_bound(n=1_000_000, seed=0, slack=0.01),
     ]
     elapsed = time.perf_counter() - started

@@ -6,10 +6,14 @@ from click.testing import CliRunner
 
 from sectionlab.bodies_io import save_body
 from sectionlab.cli import main
-from sectionlab.density import load_step_cdf_csv
 from sectionlab.geometry import builtin_body, scale_body
+from sectionlab.io import (
+    load_sample_csv,
+    load_sample_json,
+    load_step_cdf_csv,
+    read_csv,
+)
 from sectionlab.rng import RngStream
-from sectionlab.sampling import load_sample_csv, load_sample_json
 from sectionlab.stereology import Exponential, sample_profile_sizes
 
 
@@ -89,9 +93,9 @@ class TestDensityCommand:
         out = tmp_path / "g.csv"
         run_ok(runner, ["density", "--shape", "cube", "--n", "5000",
                         "--seed", "1", "-o", str(out), "--grid-points", "64"])
-        lines = [l for l in out.read_text().splitlines()
-                 if l and not l.startswith("#") and not l.startswith("grid")]
-        assert len(lines) == 64
+        header, rows = read_csv(out, 2, "grid,value")
+        assert rows.shape == (64, 2)
+        assert header["transform"] == "root_scale"
         meta = json.loads((tmp_path / "g.meta.json").read_text())
         assert meta["transform"] == "root_scale"
         assert meta["N"] == 5000
@@ -172,6 +176,29 @@ class TestUnfoldCommand:
         # the reference density is drawn over the worker shards
         assert json.loads(runs[0][1])["final_loglik"] != \
             json.loads(runs[2][1])["final_loglik"]
+
+    @pytest.mark.parametrize("text,error", [
+        ("1.0\n-2.0\n0.5\n", "ZeroLocation"),
+        ("1.0\nnan\n0.5\n", "ZeroLocation"),
+        ("location,cumulative\n1.0,1.0\n", "ValueError"),
+        ("1.0\n2.0,3.0\n", "ValueError"),
+    ])
+    def test_bad_observations_exit_3(self, runner, tmp_path, monkeypatch,
+                                     text, error):
+        import sectionlab.cli as cli
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference sampled before input checks")
+
+        monkeypatch.setattr(cli.ReferenceDensity, "from_body", no_reference)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(text)
+        result = runner.invoke(main, ["unfold", "--observations", str(obs),
+                                      "--shape", "ball", "--n", "2000",
+                                      "-o", str(tmp_path / "h.csv")])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == error
 
     def test_missing_observations(self, runner, tmp_path):
         result = runner.invoke(main, ["unfold", "--observations",

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from sectionlab.errors import EmptySample
+from sectionlab.io import (
+    load_sample_csv,
+    load_sample_json,
+    save_sample_csv,
+    save_sample_json,
+)
 from sectionlab.rng import RngStream
 from sectionlab.sampling import (
     SectionSample,
     acceptance_estimate,
     enclosing_radius,
-    load_sample_csv,
-    load_sample_json,
-    sample_direction,
     sample_directions,
     sample_fur_sections,
     sample_iur_sections,
-    save_sample_csv,
-    save_sample_json,
 )
 from sectionlab.validation import ks_vs_cdf
 
@@ -42,9 +43,6 @@ class TestDirections:
         a = sample_directions(2, 100, RngStream(7))
         b = sample_directions(2, 100, RngStream(7))
         assert np.array_equal(a, b)
-        single = sample_direction(3, RngStream(7))
-        again = sample_direction(3, RngStream(7))
-        assert np.array_equal(single, again)
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -203,14 +201,6 @@ class TestAcceptanceEstimate:
         with pytest.raises(EmptySample):
             acceptance_estimate(empty)
 
-    def test_zero_flag(self):
-        s = SectionSample(values=np.array([0.0, 1.0]), n_proposed=2,
-                          n_accepted=2, seed=0, body_label="x", dim=2)
-        assert s.has_zero_values
-        t = SectionSample(values=np.array([0.5, 1.0]), n_proposed=2,
-                          n_accepted=2, seed=0, body_label="x", dim=2)
-        assert not t.has_zero_values
-
     def test_invalid_bookkeeping(self):
         with pytest.raises(ValueError):
             SectionSample(values=np.array([1.0]), n_proposed=0, n_accepted=1,
@@ -241,16 +231,10 @@ class TestDistributionInvariances:
     """The section law is invariant to where and how the body sits."""
 
     def test_translation_rotation_scaling(self, cube):
-        from sectionlab.validation import (
-            check_rotation_invariance,
-            check_scaling_relation,
-            check_translation_invariance,
-        )
+        from sectionlab.validation import check_invariance
 
-        for check in (check_translation_invariance,
-                      check_rotation_invariance,
-                      check_scaling_relation):
-            result = check(cube, n=20_000, trials=4, seed=3)
+        for kind in ("translation", "rotation", "scaling"):
+            result = check_invariance(kind, cube, n=20_000, trials=4, seed=3)
             assert result.passed, result.line()
 
     def test_inclusion_bound_small(self):
