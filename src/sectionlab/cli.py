@@ -239,7 +239,10 @@ def ecdf(config):
 @click.option("--output", "-o", required=True, type=click.Path(),
               help="Fitted biased size CDF (CSV); report goes to a .json "
                    "sidecar.")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True,
+              help="Bound on the optimality gap max_j D_j - 1 at which the "
+                   "fit counts as converged; the log-likelihood is then "
+                   "within tol of its maximum.")
 @click.option("--max-iter", type=int, default=20000, show_default=True)
 @click.option("--unbias", is_flag=True, default=False,
               help="Also write the unbiased size CDF.")
@@ -270,7 +273,8 @@ def unfold(config):
                           config=config.to_dict())
     status = "converged" if result.converged else "NOT converged"
     click.echo(f"wrote {config.output} ({status} after {result.iterations} "
-               f"iterations, loglik {result.final_loglik:.6f})")
+               f"iterations, loglik {result.final_loglik:.6f}, "
+               f"gap {result.gap:.3g})")
 
 
 @main.command()
@@ -283,7 +287,8 @@ def unfold(config):
 def validate(config):
     """Run oracle comparisons and invariance suites for a shape."""
     results = run_shape_checks(_body(config), config.n, config.seed,
-                               trials=config.extra["trials"])
+                               trials=config.extra["trials"],
+                               workers=config.workers)
     failed = False
     for result in results:
         click.echo(result.line())

@@ -52,7 +52,7 @@ class DensityEstimate:
             raise ValueError("grid and values must have equal length")
         if (np.diff(self.grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
-        if (self.values < 0).any():
+        if not (self.values >= 0).all():  # also catches NaN
             raise ValueError("density values must be nonnegative")
 
     def evaluate(self, z) -> np.ndarray:

@@ -55,7 +55,7 @@ class SectionSample:
             raise ValueError("n_accepted must equal len(values)")
         if self.n_accepted > self.n_proposed:
             raise ValueError("cannot accept more than proposed")
-        if (self.values < 0).any():
+        if not (self.values >= 0).all():  # also catches NaN
             raise ValueError("section volumes must be nonnegative")
 
 

@@ -11,8 +11,11 @@ reference.
 The likelihood of observed root areas therefore only involves the
 reference root-area density, approximated here by the sampled KDE.  The
 nonparametric MLE of the biased size distribution over step CDFs with
-jumps at the observations is computed by EM, which is monotone in the
-log-likelihood.
+jumps at the observations is certified: a support-reduction solver
+(constrained Newton steps on a small active set of atoms) raises the
+log-likelihood monotonically and stops only when the Kiefer-Wolfowitz
+gradient gap, which bounds the distance to the optimum, is at most the
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.special import gammainc
 
 from .density import DensityEstimate, StepCDF, estimate_root_density
@@ -29,7 +33,9 @@ from .rng import RngStream
 from .sampling import sample_iur_sections
 from .density import root_transform
 
-WEIGHT_PRUNE = 1e-12
+START_ATOMS = 20  # evenly spaced candidates carrying the starting weights
+ARMIJO = 1e-4  # share of the predicted log-likelihood gain a step must reach
+MIN_STEP = 2.0 ** -40  # shortest line-search step before the solver gives up
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,13 @@ def log_likelihood(hb: StepCDF, s_obs, reference: ReferenceDensity) -> float:
 
 @dataclass
 class UnfoldResult:
-    """EM output: fitted biased size distribution plus the run report."""
+    """NPMLE output: fitted biased size distribution plus the run report.
+
+    ``gap`` is max_j D_j - 1 over all candidate atoms at the returned
+    weights, where D_j = (1/n) sum_i k_ij / mix_i.  The log-likelihood of
+    the fit is within ``gap`` of the maximum.  ``support`` is the number
+    of atoms with positive weight.
+    """
 
     step_cdf: StepCDF
     iterations: int
@@ -250,6 +262,8 @@ class UnfoldResult:
     tol: float
     pruned_atoms: int
     loglik_trace: np.ndarray
+    gap: float
+    support: int
 
     def report(self) -> dict:
         return {
@@ -258,18 +272,26 @@ class UnfoldResult:
             "converged": self.converged,
             "tol": self.tol,
             "pruned_atoms": self.pruned_atoms,
+            "gap": self.gap,
+            "support": self.support,
         }
 
 
 def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
              max_iter: int = 20000) -> UnfoldResult:
-    """Nonparametric MLE of the biased size distribution by EM.
+    """Certified nonparametric MLE of the biased size distribution.
 
-    Support is fixed at the observed values (duplicates merged); only the
-    weights are optimized.  Iteration stops when the gain in mean
-    log-likelihood drops below ``tol``; otherwise the best iterate is
-    returned with ``converged`` False.  Atoms lighter than 1e-12 are
-    pruned at the end.
+    Candidate atoms are the observed values (duplicates merged).  The
+    solver is support reduction in its constrained-Newton form (Wang 2007,
+    JRSS B 69:185-198; Groeneboom, Jongbloed & Wellner 2008, Scand. J.
+    Statist. 35:385-399).  Each iteration computes the gradient D over all
+    candidates, adds the local maxima of D above 1 to the active set,
+    maximizes the quadratic model of the log-likelihood over the simplex
+    on that set by nonnegative least squares, drops atoms of zero weight
+    and takes an Armijo backtracking step, so the log-likelihood never
+    decreases.  ``converged`` is True only when the gap max_j D_j - 1 is
+    at most ``tol``; after ``max_iter`` steps, or when no step gains, the
+    current fit is returned with ``converged`` False and its gap.
     """
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
     if s_obs.size == 0:
@@ -284,26 +306,66 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
             "an observation has zero density under every candidate atom"
         )
 
-    w = np.full(atoms.size, 1.0 / atoms.size)
-    mix = kernel @ w
-    ll = float(np.mean(np.log(mix)))
-    trace = [ll]
+    # start on a few spread atoms, plus each uncovered observation's best
+    w = np.zeros(atoms.size)
+    w[np.linspace(0, atoms.size - 1, START_ATOMS).astype(int)] = 1.0
+    w[kernel[kernel @ w <= 0].argmax(axis=1)] = 1.0
+    w /= w.sum()
+    # Over the simplex |S x - 2| = |M x| with M = S - 2, and its minimizer
+    # there is y / sum(y) for the nonnegative least squares solution y of
+    # |M y|^2 + n (sum(y) - 1)^2, as in Lawson & Hanson's LDP reduction.
+    rhs = np.zeros(n + 1)
+    rhs[n] = np.sqrt(n)
+    trace = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w *= kernel.T @ (1.0 / mix) / n
-        w /= w.sum()
-        mix = kernel @ w
-        ll_new = float(np.mean(np.log(mix)))
-        trace.append(ll_new)
-        if ll_new - ll < tol:
-            ll = ll_new
+    while True:
+        active = np.flatnonzero(w)
+        mix = kernel[:, active] @ w[active]
+        trace.append(float(np.mean(np.log(mix))))
+        grad = kernel.T @ (1.0 / mix) / n
+        gap = float(grad.max()) - 1.0
+        if gap <= tol:
             converged = True
             break
-        ll = ll_new
+        if iterations == max_iter:
+            break
+        peaks = grad > 1.0
+        peaks[1:] &= grad[1:] > grad[:-1]
+        peaks[:-1] &= grad[:-1] >= grad[1:]
+        cols = np.flatnonzero((w > 0) | peaks)
+        # quadratic model of the log-likelihood at x: -|S x - 2|^2 / 2n
+        # plus a constant, with S_ij = k_ij / mix_i
+        columns = kernel[:, cols]
+        model = np.empty((n + 1, cols.size))
+        np.divide(columns, mix[:, None], out=model[:n])
+        model[:n] -= 2.0
+        model[n] = rhs[n]
+        x, _ = nnls(model, rhs)
+        target = np.zeros(atoms.size)
+        target[cols] = x / x.sum()
+        # The step must raise mean log(mix) - sum(w), the log-likelihood
+        # on the simplex.  Near the optimum its gain is as small as the
+        # rounding of log(mix) and of the weight normalizations, so the
+        # gain is taken from the relative change of each mixture value,
+        # and subtracting the change of sum(w) cancels that rounding.
+        direction = target - w
+        rate = columns @ direction[cols] / mix
+        shift = float(direction.sum())
+        slope = float(np.mean(rate)) - shift
+        step = 1.0
+        while slope > 0 and step >= MIN_STEP:
+            change = step * rate
+            if ((change > -1.0).all() and np.mean(np.log1p(change))
+                    - step * shift >= ARMIJO * step * slope):
+                break
+            step /= 2.0
+        else:
+            break  # no ascent direction left
+        w = (1.0 - step) * w + step * target
+        iterations += 1
 
-    keep = w > WEIGHT_PRUNE
-    pruned = int(np.count_nonzero(~keep))
+    keep = w > 0
     cdf = StepCDF.from_atoms(atoms[keep], w[keep])
     return UnfoldResult(
         step_cdf=cdf,
@@ -311,6 +373,8 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
         final_loglik=trace[-1],
         converged=converged,
         tol=tol,
-        pruned_atoms=pruned,
+        pruned_atoms=int(np.count_nonzero(~keep)),
         loglik_trace=np.array(trace),
+        gap=gap,
+        support=int(np.count_nonzero(keep)),
     )

@@ -89,18 +89,19 @@ def ks_vs_cdf(x, cdf) -> float:
 # Oracle comparisons
 
 
-def check_ball_section_law(n: int = 1_000_000, seed: int = 0) -> CheckResult:
+def check_ball_section_law(n: int = 1_000_000, seed: int = 0,
+                           workers: int = 1) -> CheckResult:
     """ECDF of ball section areas against the analytic area CDF."""
     ball = builtin_body("ball")
-    sample = sample_iur_sections(ball, n, RngStream(seed))
+    sample = sample_iur_sections(ball, n, RngStream(seed), workers=workers)
     stat = ks_vs_cdf(sample.values, oracles.ball_section_cdf)
     threshold = 5.0 / math.sqrt(n)
     return CheckResult("ball_section_law", stat <= threshold, stat, threshold,
                        f"n={n}")
 
 
-def check_square_chord_density(n: int = 1_000_000, seed: int = 0
-                               ) -> CheckResult:
+def check_square_chord_density(n: int = 1_000_000, seed: int = 0,
+                               workers: int = 1) -> CheckResult:
     """KDE of square chord lengths against the closed-form density.
 
     The true density has an integrable singularity as the chord length
@@ -109,7 +110,7 @@ def check_square_chord_density(n: int = 1_000_000, seed: int = 0
     |z - 1| <= 0.15 and the full-grid supremum is reported as detail.
     """
     square = builtin_body("square")
-    sample = sample_iur_sections(square, n, RngStream(seed))
+    sample = sample_iur_sections(square, n, RngStream(seed), workers=workers)
     estimate = estimate_root_density(sample)
     grid = np.linspace(0.05, 1.35, 512)
     err = np.abs(estimate.evaluate(grid) - oracles.square_chord_density(grid))
@@ -123,9 +124,9 @@ def check_square_chord_density(n: int = 1_000_000, seed: int = 0
 
 
 def check_acceptance_rate(body: ConvexBody, n: int = 1_000_000,
-                          seed: int = 0) -> CheckResult:
+                          seed: int = 0, workers: int = 1) -> CheckResult:
     """Acceptance frequency against mean width / (2 R)."""
-    sample = sample_iur_sections(body, n, RngStream(seed))
+    sample = sample_iur_sections(body, n, RngStream(seed), workers=workers)
     rate = acceptance_estimate(sample)
     expected = mean_width(body) / (2.0 * enclosing_radius(body))
     threshold = max(6.5 * math.sqrt(expected**2 * (1 - expected) / n), 1e-9)
@@ -188,7 +189,7 @@ _INVARIANCES = {"translation": ("translation_invariance", 0),
 
 def check_invariance(kind: str, body: ConvexBody, n: int = 100_000,
                      trials: int = INVARIANCE_TRIALS,
-                     seed: int = 0) -> CheckResult:
+                     seed: int = 0, workers: int = 1) -> CheckResult:
     """Two-sample KS of the body's section law against a transformed copy.
 
     ``kind`` is "translation", "rotation" or "scaling"; section volumes
@@ -208,8 +209,10 @@ def check_invariance(kind: str, body: ConvexBody, n: int = 100_000,
         else:
             lam = gen.uniform(0.5, 2.0)
             copy, postscale = scale_body(body, lam), lam ** (body.dim - 1)
-        base = sample_iur_sections(body, n, RngStream(seed + t, 1))
-        other = sample_iur_sections(copy, n, RngStream(seed + t, 2))
+        base = sample_iur_sections(body, n, RngStream(seed + t, 1),
+                                   workers=workers)
+        other = sample_iur_sections(copy, n, RngStream(seed + t, 2),
+                                    workers=workers)
         stat = ks_two_sample(base.values, other.values / postscale)
         worst = max(worst, stat)
         passes += stat < limit
@@ -246,18 +249,22 @@ def check_inclusion_bound(n: int = 1_000_000, seed: int = 0,
 
 
 def run_shape_checks(body: ConvexBody, n: int, seed: int,
-                     trials: int = 5) -> list[CheckResult]:
-    """Checks appropriate for one shape at the requested sample size."""
+                     trials: int = 5, workers: int = 1) -> list[CheckResult]:
+    """Checks appropriate for one shape at the requested sample size.
+
+    Every section sample is drawn over ``workers`` streams.
+    """
     results = []
     if body.kind == "ball":
-        results.append(check_ball_section_law(n, seed))
+        results.append(check_ball_section_law(n, seed, workers))
         return results
     if body.label == "square":
-        results.append(check_square_chord_density(n, seed))
-    results.append(check_acceptance_rate(body, n, seed))
+        results.append(check_square_chord_density(n, seed, workers))
+    results.append(check_acceptance_rate(body, n, seed, workers))
     results.append(check_section_oracle(body, min(2000, n), seed))
     results.append(check_brunn_concavity(body, seed))
     inv_n = min(n, 100_000)
     for kind in ("translation", "rotation", "scaling"):
-        results.append(check_invariance(kind, body, inv_n, trials, seed))
+        results.append(check_invariance(kind, body, inv_n, trials, seed,
+                                        workers))
     return results

@@ -148,14 +148,17 @@ class TestUnfoldCommand:
         obs = tmp_path / "obs.csv"
         obs.write_text("\n".join(repr(float(a)) for a in areas) + "\n")
         out = tmp_path / "hb.csv"
-        run_ok(runner, ["unfold", "--observations", str(obs), "--shape",
-                        "ball", "--n", "30000", "--seed", "31",
-                        "-o", str(out), "--max-iter", "600", "--unbias"])
+        result = run_ok(runner, ["unfold", "--observations", str(obs),
+                                 "--shape", "ball", "--n", "30000",
+                                 "--seed", "31", "-o", str(out),
+                                 "--max-iter", "600", "--unbias"])
         fitted = load_step_cdf_csv(out)
         assert fitted.cumulative[-1] == 1.0
         report = json.loads((tmp_path / "hb.report.json").read_text())
         assert report["iterations"] <= 600
         assert "final_loglik" in report
+        assert report["converged"] and report["gap"] <= report["tol"]
+        assert f"gap {report['gap']:.3g}" in result.output
         unbiased = load_step_cdf_csv(tmp_path / "hb.unbiased.csv")
         assert unbiased.cumulative[-1] == 1.0
 
@@ -221,13 +224,22 @@ class TestValidateCommand:
         assert "section_oracle_equivalence" in result.output
         assert "FAIL" not in result.output
 
+    def test_workers_reruns_are_byte_identical(self, runner):
+        args = ["validate", "--shape", "cube", "--n", "20000",
+                "--trials", "2", "--workers"]
+        outputs = [run_ok(runner, args + [workers]).output
+                   for workers in ("2", "2", "1")]
+        assert outputs[0] == outputs[1]
+        # every check samples over the worker streams
+        assert outputs[0] != outputs[2]
+
     def test_failing_check_exits_2(self, runner, monkeypatch):
         import sectionlab.cli as cli
         from sectionlab.validation import CheckResult
 
         monkeypatch.setattr(
             cli, "run_shape_checks",
-            lambda body, n, seed, trials: [
+            lambda body, n, seed, trials, workers: [
                 CheckResult("forced", False, 1.0, 0.5)
             ],
         )

@@ -345,3 +345,9 @@ class TestPipeline:
             DensityEstimate(grid=np.array([1.0, 0.5]),
                             values=np.array([1.0, 1.0]), bandwidth=0.1,
                             transform="root_scale", sample_size=1)
+
+    def test_nan_density_value_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DensityEstimate(grid=np.array([0.0, 1.0]),
+                            values=np.array([np.nan, 1.0]), bandwidth=0.1,
+                            transform="root_scale", sample_size=1)

@@ -206,6 +206,11 @@ class TestAcceptanceEstimate:
             SectionSample(values=np.array([1.0]), n_proposed=0, n_accepted=1,
                           seed=0, body_label="x", dim=2)
 
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SectionSample(values=np.array([np.nan, 1.0]), n_proposed=2,
+                          n_accepted=2, seed=0, body_label="x", dim=2)
+
 
 class TestSampleFiles:
     def test_csv_roundtrip(self, square, tmp_path):
@@ -217,6 +222,17 @@ class TestSampleFiles:
         assert back.n_proposed == sample.n_proposed
         assert back.seed == sample.seed
         assert back.dim == 2
+
+    def test_csv_with_nan_is_rejected(self, square, tmp_path):
+        # a ValueError is an input error: exit 3 at the CLI
+        sample = sample_iur_sections(square, 20, RngStream(5))
+        path = tmp_path / "sample.csv"
+        save_sample_csv(sample, path)
+        lines = path.read_text().splitlines()
+        lines[-1] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_sample_csv(path)
 
     def test_json_roundtrip(self, cube, tmp_path):
         sample = sample_iur_sections(cube, 100, RngStream(5))

@@ -13,6 +13,7 @@ from sectionlab.stereology import (
     PointMass,
     ReferenceDensity,
     StepDistribution,
+    _mixture_kernel,
     length_biased,
     log_likelihood,
     npmle_em,
@@ -28,6 +29,34 @@ def triangular_reference():
     est = DensityEstimate(grid=grid, values=2.0 * grid, bandwidth=0.01,
                           transform="root_scale", sample_size=1000)
     return ReferenceDensity.from_estimate(est, support_max=1.0)
+
+
+def em_loglik(s_obs, reference, tol=1e-8, max_iter=20_000):
+    """Mean log-likelihood reached by plain EM on the unique observations,
+    stopped when its gain drops below ``tol``: the solver this package
+    used before support reduction."""
+    s_obs = np.sort(s_obs)
+    kernel = _mixture_kernel(s_obs, np.unique(s_obs), reference)
+    w = np.full(kernel.shape[1], 1.0 / kernel.shape[1])
+    ll = -np.inf
+    for _ in range(max_iter):
+        mix = kernel @ w
+        ll_new = float(np.mean(np.log(mix)))
+        if ll_new - ll < tol:
+            return ll_new
+        ll = ll_new
+        w *= kernel.T @ (1.0 / mix) / s_obs.size
+        w /= w.sum()
+    return float(np.mean(np.log(kernel @ w)))
+
+
+def certificate(result, s_obs, reference):
+    """max_j D_j - 1 over every candidate atom at the fitted weights."""
+    s_obs = np.sort(s_obs)
+    fitted = _mixture_kernel(s_obs, result.step_cdf.locations, reference)
+    mix = fitted @ result.step_cdf.weights
+    kernel = _mixture_kernel(s_obs, np.unique(s_obs), reference)
+    return float((kernel.T @ (1.0 / mix)).max() / s_obs.size) - 1.0
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +206,43 @@ class TestLogLikelihood:
 
 
 class TestNpmleEm:
+    def test_certificate_over_all_candidates(self, ball3, ball_reference):
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 400,
+                                     RngStream(12))
+        result = npmle_em(s_obs, ball_reference, tol=1e-8)
+        assert result.converged
+        assert result.gap <= result.tol
+        assert certificate(result, s_obs, ball_reference) <= 1e-8
+        assert result.support == result.step_cdf.locations.size
+        assert (result.support + result.pruned_atoms
+                == np.unique(s_obs).size)
+
+    def test_large_sample_converges_with_certificate(self, ball3,
+                                                     ball_reference):
+        # plain EM stopped at max_iter here without converging
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 4000,
+                                     RngStream(17))
+        result = npmle_em(s_obs, ball_reference)
+        assert result.converged
+        assert result.gap <= 1e-8
+        assert result.iterations <= 100
+        assert np.diff(result.loglik_trace).min() > -1e-12
+
+    def test_loglik_at_least_em(self, ball3, ball_reference):
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 400,
+                                     RngStream(12))
+        result = npmle_em(s_obs, ball_reference)
+        assert result.final_loglik >= em_loglik(s_obs, ball_reference) - 1e-12
+
+    def test_max_iter_reports_gap(self, ball3, ball_reference):
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 300,
+                                     RngStream(15))
+        result = npmle_em(s_obs, ball_reference, max_iter=2)
+        assert not result.converged
+        assert result.gap > result.tol
+        assert result.gap == pytest.approx(
+            certificate(result, s_obs, ball_reference), abs=1e-9)
+
     def test_all_equal_observations_collapse(self):
         ref = triangular_reference()
         result = npmle_em(np.full(50, 0.7), ref)
@@ -213,7 +279,7 @@ class TestNpmleEm:
             assert fitted >= candidate - 1e-7
 
     def test_first_order_optimality(self, ball3, ball_reference):
-        """KKT conditions of the simplex-constrained MLE at the EM limit:
+        """KKT conditions of the simplex-constrained MLE at the fit:
         no atom offers an ascent direction, and heavy atoms are stationary.
         """
         from sectionlab.stereology import _mixture_kernel
@@ -255,7 +321,7 @@ class TestNpmleEm:
         result = npmle_em(s_obs, ball_reference, max_iter=400)
         report = result.report()
         assert set(report) == {"iterations", "final_loglik", "converged",
-                               "tol", "pruned_atoms"}
+                               "tol", "pruned_atoms", "gap", "support"}
 
 
 class TestReferenceDensity:
