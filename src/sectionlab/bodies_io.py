@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import DegenerateInput
 from .geometry import ConvexBody, build_polytope
@@ -63,6 +61,11 @@ def vertices_from_halfspaces(normals, offsets) -> np.ndarray:
     Requires a bounded, full-dimensional system; an interior point is
     found as the Chebyshev center.
     """
+    # imported here: only body JSON files need scipy, and it costs about
+    # 0.5 s of start-up
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, InvalidBody
 
@@ -192,6 +191,10 @@ def build_polytope(points, label: str = "polytope") -> ConvexBody:
     Points not on the hull are discarded.  Raises DegenerateInput when the
     points are not full-dimensional (e.g. collinear points in R^2).
     """
+    # imported here: scipy.spatial costs about 0.4 s of start-up, and the
+    # builtin bodies never need it
+    from scipy.spatial import ConvexHull, QhullError
+
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
         raise DegenerateInput("points must be an (m, 2) or (m, 3) array")
@@ -273,18 +276,36 @@ def _merge_coplanar_facets(points, hull) -> list[tuple]:
     return facets
 
 
-_DODECA_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_P = (1.0 + math.sqrt(5.0)) / 2.0  # golden ratio
+_Q = 1.0 / _P
 
-
-def _dodecahedron_points() -> np.ndarray:
-    phi = _DODECA_PHI
-    inv = 1.0 / phi
-    pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    for a, b in ((inv, phi), (-inv, phi), (inv, -phi), (-inv, -phi)):
-        pts.append((0.0, a, b))
-        pts.append((a, b, 0.0))
-        pts.append((b, 0.0, a))
-    return np.array(pts, dtype=float)
+# The builtin polytopes as (vertices, facets), in the order qhull gives
+# for their generating points, so that every derived float matches a body
+# built by build_polytope; tests/test_geometry.py checks this.
+_TABLES = {
+    "square": (
+        ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)),
+        ((0, 1), (1, 2), (2, 3), (3, 0)),
+    ),
+    "cube": (
+        tuple((x, y, z) for x in (-0.5, 0.5) for y in (-0.5, 0.5)
+              for z in (-0.5, 0.5)),
+        ((6, 4, 0, 2), (4, 5, 1, 0), (6, 7, 5, 4), (3, 2, 0, 1),
+         (7, 6, 2, 3), (5, 7, 3, 1)),
+    ),
+    "dodecahedron": (
+        ((-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
+         (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1),
+         (0, _Q, _P), (_Q, _P, 0), (_P, 0, _Q),
+         (0, -_Q, _P), (-_Q, _P, 0), (_P, 0, -_Q),
+         (0, _Q, -_P), (_Q, -_P, 0), (-_P, 0, _Q),
+         (0, -_Q, -_P), (-_Q, -_P, 0), (-_P, 0, -_Q)),
+        ((2, 14, 17, 0, 19), (9, 6, 14, 2, 12), (16, 3, 12, 2, 19),
+         (8, 3, 16, 1, 11), (15, 5, 11, 1, 18), (1, 16, 19, 0, 18),
+         (10, 5, 15, 4, 13), (14, 6, 13, 4, 17), (17, 4, 15, 18, 0),
+         (7, 10, 13, 6, 9), (7, 8, 11, 5, 10), (7, 9, 12, 3, 8)),
+    ),
+}
 
 
 def builtin_body(name: str, normalize_volume: bool = False,
@@ -297,19 +318,11 @@ def builtin_body(name: str, normalize_volume: bool = False,
     are; the ball becomes a ball of unit volume).
     """
     name = name.lower()
-    if name == "square":
-        body = build_polytope(
-            0.5 * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float),
-            label="square",
-        )
-    elif name == "cube":
-        corners = 0.5 * np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        body = build_polytope(corners, label="cube")
-    elif name == "dodecahedron":
-        body = build_polytope(_dodecahedron_points(), label="dodecahedron")
+    if name in _TABLES:
+        vertices, facets = _TABLES[name]
+        vertices = np.array(vertices, dtype=float)
+        body = ConvexBody(dim=vertices.shape[1], kind="polytope",
+                          vertices=vertices, facets=facets, label=name)
     elif name == "ball":
         if dim not in (2, 3):
             raise ValueError("ball dimension must be 2 or 3")
@@ -320,6 +333,8 @@ def builtin_body(name: str, normalize_volume: bool = False,
         if k < 3:
             raise ValueError("regular polygon needs at least 3 vertices")
         ang = 2.0 * np.pi * np.arange(k) / k
+        # qhull's start vertex has no closed form (index 4 for k = 7, 8
+        # for k = 12), so the k-gon is still built through the hull
         body = build_polytope(
             np.column_stack([np.cos(ang), np.sin(ang)]), label=name
         )
@@ -377,7 +392,14 @@ def random_rotation(dim: int, generator) -> np.ndarray:
 
 
 def validate_body(body: ConvexBody) -> None:
-    """Raise InvalidBody when the stored data violates its invariants."""
+    """Raise InvalidBody when the stored data violates its invariants.
+
+    A polytope passes when its facets close up (in 3D each edge borders
+    two facets, traversed in opposite directions; in 2D each vertex starts
+    one edge and ends one), each facet is planar with an outward normal,
+    and every vertex lies inside every facet plane and on at least ``dim``
+    of them.  The last check rejects points that are not extreme.
+    """
     if body.dim not in (2, 3):
         raise InvalidBody("dimension must be 2 or 3")
     if body.kind == "ball":
@@ -391,29 +413,39 @@ def validate_body(body: ConvexBody) -> None:
     v = body.vertices
     if v is None or v.ndim != 2 or v.shape[1] != body.dim:
         raise InvalidBody("vertex array has wrong shape")
-    try:
-        hull = ConvexHull(v)
-    except QhullError as exc:
-        raise InvalidBody(f"vertices are degenerate: {exc}") from exc
-    if len(hull.vertices) != len(v):
-        raise InvalidBody("vertex set contains non-extreme points")
+    if len(v) <= body.dim or not np.isfinite(v).all():
+        raise InvalidBody("vertices are degenerate")
     if not body.facets:
         raise InvalidBody("polytope has no facets")
-    tol = PLANE_TOL * max(body.diameter_bound, 1.0)
-    cen = body.centroid
-    if body.dim == 3:
-        normals, offsets = body.facet_planes
-        for facet, n, c in zip(body.facets, normals, offsets):
-            pts = v[list(facet)]
-            if np.abs(pts @ n - c).max() > max(1e-9, 1e3 * tol):
-                raise InvalidBody("facet is not planar")
-            if n @ (pts.mean(axis=0) - cen) <= 0:
-                raise InvalidBody("facet normal is not outward")
+    sizes = np.array([len(facet) for facet in body.facets])
+    corners = np.concatenate(body.facets)
+    if ((sizes < body.dim).any() or (body.dim == 2 and (sizes > 2).any())
+            or corners.min() < 0 or corners.max() >= len(v)):
+        raise InvalidBody("a facet has too few vertices or a bad index")
+    edges, incidence = body._edge_incidence
+    if body.dim == 2:
+        closed = (np.bincount(edges[:, 0], minlength=len(v)) == 1).all() and (
+            np.bincount(edges[:, 1], minlength=len(v)) == 1).all()
     else:
+        closed = ((np.abs(incidence).sum(axis=0) == 2).all()
+                  and (incidence.sum(axis=0) == 0).all())
+    if not closed:
+        raise InvalidBody("facets do not form a closed oriented boundary")
+    with np.errstate(invalid="ignore", divide="ignore"):
         normals, offsets = body.facet_planes
-        for n, c in zip(normals, offsets):
-            if n @ cen >= c:
-                raise InvalidBody("edge normal is not outward")
+        cen = body.centroid
+    tol = max(1e-9, 1e3 * PLANE_TOL * max(body.diameter_bound, 1.0))
+    heights = v @ normals.T - offsets  # (vertex, facet), <= 0 inside
+    if not (heights <= tol).all():  # also catches NaN from a flat facet
+        raise InvalidBody("a vertex lies outside a facet plane")
+    for f, facet in enumerate(body.facets):
+        if np.abs(heights[list(facet), f]).max() > tol:
+            raise InvalidBody("facet is not planar")
+    if ((np.abs(heights) <= tol).sum(axis=1) < body.dim).any():
+        raise InvalidBody("vertex set contains non-extreme points")
+    middles = np.array([v[list(facet)].mean(axis=0) for facet in body.facets])
+    if not (np.einsum("ij,ij->i", normals, middles - cen) > 0).all():
+        raise InvalidBody("facet normal is not outward")
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +587,19 @@ def section_volume_by_clipping(body: ConvexBody, plane: Hyperplane) -> float:
     theta = plane.direction
     s = plane.offset
     normals, offsets = body.facet_planes
-    # keep the seed square at body scale: an oversized one would leak
-    # unit-scale cancellation error into microscopic sections
-    bound = 4.0 * (body.diameter_bound + abs(s))
+    # Seed square: centred on the projection of the vertex mean onto the
+    # plane, half-width the diameter bound, so it holds the whole section.
+    # A larger one would leak its own cancellation error into sections
+    # that are tiny or empty.
+    mean = body.vertices.mean(axis=0)
+    bound = body.diameter_bound
 
     if body.dim == 2:
         # line x = s*theta + t*u clipped against edge half-planes
         u = np.array([-theta[1], theta[0]])
         p0 = s * theta
-        tlo, thi = -bound, bound
+        mid = mean @ u
+        tlo, thi = mid - bound, mid + bound
         for n, c in zip(normals, offsets):
             an = n @ u
             rhs = c - n @ p0
@@ -583,10 +619,9 @@ def section_volume_by_clipping(body: ConvexBody, plane: Hyperplane) -> float:
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(theta, e1)
     p0 = s * theta
-    poly = [
-        np.array([-bound, -bound]), np.array([bound, -bound]),
-        np.array([bound, bound]), np.array([-bound, bound]),
-    ]
+    mid = np.array([mean @ e1, mean @ e2])
+    poly = [mid + bound * np.array(corner)
+            for corner in ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))]
     for n, c in zip(normals, offsets):
         a, b = n @ e1, n @ e2
         rhs = c - n @ p0

@@ -23,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import gammainc
 
-from .density import DensityEstimate, StepCDF, estimate_root_density
+from .density import (DensityEstimate, StepCDF, estimate_root_density,
+                      root_transform)
 from .errors import AllZeroLikelihood, InfiniteMean, ZeroLocation
 from .geometry import ConvexBody
 from .rng import RngStream
 from .sampling import sample_iur_sections
-from .density import root_transform
 
 START_ATOMS = 20  # evenly spaced candidates carrying the starting weights
 ARMIJO = 1e-4  # share of the predicted log-likelihood gain a step must reach
@@ -74,6 +72,8 @@ class Gamma:
         return self.shape / self.rate
 
     def cdf(self, x):
+        from scipy.special import gammainc  # about 0.2 s of start-up
+
         x = np.asarray(x, dtype=float)
         return gammainc(self.shape, self.rate * np.maximum(x, 0.0))
 
@@ -277,6 +277,92 @@ class UnfoldResult:
         }
 
 
+def nnls(a, b, start=None) -> np.ndarray:
+    """Nonnegative least squares: x >= 0 minimizing |a x - b|.
+
+    Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23).  It runs on the triangular factor R of the QR
+    factorization of [a | b]: |a x - b| equals |R x - r| for R's first k
+    columns and its last column r, so every step costs O(k^3) whatever
+    the row count of ``a``.  ``start`` (boolean, one entry per column)
+    names a passive set to begin from: columns whose least squares
+    coefficient is not positive leave it until the rest are positive, and
+    when its columns are singular the solver starts cold from x = 0.  On
+    return the dual vector a^T (b - a x) is at most a rounding-level
+    tolerance where x = 0, and about 0 where x > 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, k = a.shape
+    factor = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    r, rb = factor[:, :k], factor[:, k]
+    # rounding level of the dual a^T (b - a x)
+    tol = (10.0 * max(m, k) * np.finfo(float).eps
+           * np.abs(a).sum(axis=0).max() * np.abs(b).max())
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    if start is not None:
+        # from x = 0 every nonpositive coefficient leaves the start set at
+        # once, until the rest are positive: a valid state to go on from
+        passive = np.array(start, dtype=bool)
+        while passive.any():
+            z = _passive_solution(r, rb, passive)
+            if z is None:
+                passive[:] = False
+            elif (z[passive] > 0).all():
+                x = z
+                break
+            else:
+                passive &= z > 0
+    for _ in range(3 * k):
+        dual = r.T @ (rb - r @ x)
+        # enter the column of largest dual that is independent of the
+        # passive set and gets a positive coefficient
+        for j in np.argsort(-dual):
+            if not dual[j] > tol:
+                return x
+            if passive[j]:
+                continue
+            trial = passive.copy()
+            trial[j] = True
+            z = _passive_solution(r, rb, trial)
+            if z is not None and z[j] > 0:
+                break
+        else:
+            return x
+        passive = trial
+        # step back toward x until every passive coefficient is positive
+        while not (z[passive] > 0).all():
+            drop = np.flatnonzero(passive & (z <= 0))
+            ratios = x[drop] / (x[drop] - z[drop])
+            x += ratios.min() * (z - x)
+            x[drop[ratios.argmin()]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            z = _passive_solution(r, rb, passive)
+            if z is None:
+                return x
+        x = z
+    return x
+
+
+def _passive_solution(r, rb, passive) -> np.ndarray | None:
+    """Least squares solution on the passive columns, 0 elsewhere; None
+    when those columns are numerically dependent."""
+    p = int(np.count_nonzero(passive))
+    z = np.zeros(r.shape[1])
+    if p == 0:
+        return z
+    if p > r.shape[0]:
+        return None
+    factor = np.linalg.qr(np.column_stack([r[:, passive], rb]), mode="r")
+    diag = np.abs(np.diag(factor[:p, :p]))
+    if not diag.min() > 10.0 * p * np.finfo(float).eps * diag.max():
+        return None
+    z[passive] = np.linalg.solve(factor[:p, :p], factor[:p, p])
+    return z
+
+
 def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
              max_iter: int = 20000) -> UnfoldResult:
     """Certified nonparametric MLE of the biased size distribution.
@@ -341,7 +427,7 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
         np.divide(columns, mix[:, None], out=model[:n])
         model[:n] -= 2.0
         model[n] = rhs[n]
-        x, _ = nnls(model, rhs)
+        x = nnls(model, rhs, start=w[cols] > 0)
         target = np.zeros(atoms.size)
         target[cols] = x / x.sum()
         # The step must raise mean log(mix) - sum(w), the log-likelihood

@@ -261,3 +261,64 @@ class TestUnfold2d:
                         "-o", str(out), "--max-iter", "500"])
         fitted = load_step_cdf_csv(out)
         assert fitted.locations.min() > 0
+
+
+NO_SCIPY_SCRIPT = r"""
+import json, sys
+import sectionlab.cli as cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+report = {"import": loaded()}
+for shape in ("square", "cube", "dodecahedron", "ball"):
+    cli.resolve_shape(shape, False)
+    cli.resolve_shape(shape, True)
+report["resolve_shape"] = loaded()
+
+from sectionlab.rng import RngStream
+from sectionlab.stereology import Exponential, sample_profile_sizes
+
+body = cli.resolve_shape("dodecahedron", True)
+roots = sample_profile_sizes(body, Exponential(1.0), 200, RngStream(3))
+with open("obs.csv", "w") as fh:
+    fh.writelines(f"{float(v) ** 2!r}\n" for v in roots)
+codes = []
+for args in (
+    ["density", "--shape", "cube", "--n", "20000", "-o", "cube.csv"],
+    ["unfold", "--observations", "obs.csv", "--shape", "dodecahedron",
+     "--normalize-volume", "--n", "50000", "-o", "hb.csv"],
+    ["validate", "--shape", "square", "--n", "20000", "--trials", "1"],
+):
+    try:
+        cli.main.main(args=args, prog_name="sectionlab")
+    except SystemExit as exc:
+        codes.append(exc.code)
+report["commands"] = loaded()
+report["codes"] = codes
+print(json.dumps(report))
+"""
+
+
+class TestStartsWithoutScipy:
+    def test_builtin_commands_never_import_scipy(self, tmp_path):
+        """Import, builtin shapes and the density, unfold and validate
+        commands on them load no scipy module: scipy is needed only for
+        body JSON files, regular polygons and Gamma.cdf."""
+        import os
+        import subprocess
+        import sys
+
+        import sectionlab
+
+        src = os.path.dirname(os.path.dirname(sectionlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0]
+        assert report["import"] == []
+        assert report["resolve_shape"] == []
+        assert report["commands"] == []

@@ -27,6 +27,16 @@ from conftest import random_directions
 DODECA_EDGE1_VOLUME = (15.0 + 7.0 * math.sqrt(5.0)) / 4.0
 
 
+def _dodecahedron_points():
+    """The points whose hull was the builtin dodecahedron."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    for a, b in ((1 / phi, phi), (-1 / phi, phi), (1 / phi, -phi),
+                 (-1 / phi, -phi)):
+        pts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
+    return np.array(pts, dtype=float)
+
+
 class TestBuildPolytope:
     def test_square_corners(self):
         body = build_polytope([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -91,9 +101,27 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_body("icosahedron")
 
-    def test_builtins_validate(self, square, cube, dodecahedron, ball3):
-        for body in (square, cube, dodecahedron, ball3):
+    def test_builtins_validate(self, square, cube, dodecahedron, ball3,
+                               random_hull20):
+        for body in (square, cube, dodecahedron, ball3, random_hull20,
+                     builtin_body("polygon7")):
             validate_body(body)
+
+    @pytest.mark.parametrize("name,points", [
+        ("square", 0.5 * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]],
+                                  dtype=float)),
+        ("cube", 0.5 * np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                 for z in (-1, 1)], dtype=float)),
+        ("dodecahedron", _dodecahedron_points()),
+    ])
+    def test_literal_tables_match_hull(self, name, points):
+        """The literal builtin tables are the hull of their generating
+        points, in qhull's vertex and facet order, bit for bit."""
+        hull = build_polytope(points, label=name)
+        body = builtin_body(name)
+        assert body.vertices.tobytes() == hull.vertices.tobytes()
+        assert body.facets == hull.facets
+        assert body.label == hull.label
 
 
 class TestVolume:
@@ -187,6 +215,9 @@ class TestSectionVolume:
         for body in (cube, dodecahedron, random_hull20):
             centered = translate_body(body, -body.centroid)
             _assert_matches_oracle(centered, *_degenerate_planes(centered))
+            planes = _touching_planes(centered,
+                                      along_edges=body is not random_hull20)
+            _assert_matches_oracle(centered, *planes)
 
 
 def _assert_matches_oracle(body, dirs, offsets, oracle_offsets):
@@ -207,13 +238,12 @@ def _degenerate_planes(body):
 
     Offsets come from vertex heights rounded as section_volumes rounds
     them, so the incident vertices lie on the plane as the kernel sees
-    it.  Vertex and edge planes also pass through an interior point:
-    where a plane only touches the body the exact area is 0, and the
-    oracle's own rounding there (up to 1e-14 on a body of diameter 2)
-    exceeds the 1e-15 floor.  A facet plane is ill-posed in floating
-    point: the area jumps from the facet's to 0 across it, and rounding
-    picks the side.  The oracle therefore takes it from 1e-13 inside,
-    which changes the area by far less than the bound.
+    it.  Vertex and edge planes also pass through an interior point;
+    planes that only touch the body come from _touching_planes.  A facet
+    plane is ill-posed in floating point: the area jumps from the facet's
+    to 0 across it, and rounding picks the side.  The oracle therefore
+    takes it from 1e-13 inside, which changes the area by far less than
+    the bound.
     """
     v = body.vertices
     gen = np.random.default_rng(19)
@@ -242,6 +272,40 @@ def _degenerate_planes(body):
     for facet, n in zip(body.facets, normals):
         s = heights(n)[list(facet)].min()
         planes.append((n, s, s - 1e-13))
+    dirs, offsets, oracle_offsets = zip(*planes)
+    return np.array(dirs), np.array(offsets), np.array(oracle_offsets)
+
+
+def _touching_planes(body, along_edges=True):
+    """Supporting planes that touch a centered 3D polytope only at a
+    vertex and, with ``along_edges``, only along an edge: (directions,
+    offsets, oracle offsets).
+
+    A normal is a random positive combination of the outward normals of
+    the facets at that vertex or edge, and the offset is the largest
+    vertex height as section_volumes rounds it, so the exact area is 0.
+    random_hull20 is left out of the edge planes: its shallow edges
+    (dihedral angles down to 0.05 rad) turn the rounding of the facet
+    offsets into oracle slivers of up to 1.5e-14, above the 1e-15 floor.
+    """
+    v = body.vertices
+    normals, _ = body.facet_planes
+    gen = np.random.default_rng(20)
+    touched = [{i} for i in range(len(v))]
+    if along_edges:
+        touched += [set(pair) for pair in sorted(
+            {tuple(sorted(pair)) for facet in body.facets
+             for pair in zip(facet, facet[1:] + facet[:1])})]
+    planes = []
+    for corners in touched:
+        around = [f for f, facet in enumerate(body.facets)
+                  if corners <= set(facet)]
+        for _ in range(3):
+            n = gen.uniform(0.1, 1.0, len(around)) @ normals[around]
+            theta = n / np.linalg.norm(n)
+            s = (v[:, 0] * theta[0] + v[:, 1] * theta[1]
+                 + v[:, 2] * theta[2]).max()
+            planes.append((theta, s, s))
     dirs, offsets, oracle_offsets = zip(*planes)
     return np.array(dirs), np.array(offsets), np.array(oracle_offsets)
 
@@ -376,6 +440,62 @@ class TestValidateBody:
         )
         with pytest.raises(InvalidBody):
             validate_body(bad)
+
+    def test_rejects_vertex_outside_facet_plane(self, cube):
+        from sectionlab.geometry import ConvexBody
+
+        bad = ConvexBody(
+            dim=3, kind="polytope",
+            vertices=np.vstack([cube.vertices, [[0.0, 0.0, 2.0]]]),
+            facets=cube.facets, label="bad",
+        )
+        with pytest.raises(InvalidBody, match="outside a facet plane"):
+            validate_body(bad)
+
+    def test_rejects_edge_midpoint_vertex(self, cube):
+        """A vertex in the middle of an edge, threaded into both facets
+        along that edge: the surface stays closed and planar, but the
+        point lies on two facet planes only."""
+        from sectionlab.geometry import ConvexBody
+
+        a, b = 0, 2  # an edge of the cube's first facet
+        mid = len(cube.vertices)
+        facets = []
+        for facet in cube.facets:
+            ring = list(facet)
+            for i in range(len(ring)):
+                if {ring[i], ring[(i + 1) % len(ring)]} == {a, b}:
+                    ring.insert(i + 1, mid)
+                    break
+            facets.append(tuple(ring))
+        assert sum(mid in f for f in facets) == 2
+        vertices = np.vstack([cube.vertices,
+                              (cube.vertices[a] + cube.vertices[b]) / 2.0])
+        bad = ConvexBody(dim=3, kind="polytope", vertices=vertices,
+                         facets=tuple(facets), label="bad")
+        with pytest.raises(InvalidBody, match="non-extreme"):
+            validate_body(bad)
+
+    def test_rejects_open_surface(self, square, cube):
+        from sectionlab.geometry import ConvexBody
+
+        for body in (square, cube):
+            bad = ConvexBody(dim=body.dim, kind="polytope",
+                             vertices=body.vertices, facets=body.facets[1:],
+                             label="bad")
+            with pytest.raises(InvalidBody, match="closed"):
+                validate_body(bad)
+
+    def test_rejects_reversed_facet(self, square, dodecahedron):
+        from sectionlab.geometry import ConvexBody
+
+        for body in (square, dodecahedron):
+            facets = (body.facets[0][::-1],) + body.facets[1:]
+            bad = ConvexBody(dim=body.dim, kind="polytope",
+                             vertices=body.vertices, facets=facets,
+                             label="bad")
+            with pytest.raises(InvalidBody):
+                validate_body(bad)
 
     def test_rejects_bad_ball(self):
         from sectionlab.geometry import ConvexBody

@@ -14,8 +14,10 @@ from sectionlab.stereology import (
     ReferenceDensity,
     StepDistribution,
     _mixture_kernel,
+    _passive_solution,
     length_biased,
     log_likelihood,
+    nnls,
     npmle_em,
     sample_profile_sizes,
     unbias,
@@ -322,6 +324,68 @@ class TestNpmleEm:
         report = result.report()
         assert set(report) == {"iterations", "final_loglik", "converged",
                                "tol", "pruned_atoms", "gap", "support"}
+
+
+def assert_nnls_optimal(a, b, x):
+    """KKT conditions of min |a x - b| over x >= 0, and the objective of
+    scipy's Lawson-Hanson solver to 1e-10 relative."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    dual = a.T @ (b - a @ x)  # minus the gradient of |a x - b|^2 / 2
+    tol = 1e-9 * np.linalg.norm(a, 2) * np.linalg.norm(b)
+    assert (x >= 0).all()
+    assert (dual[x == 0] <= tol).all()
+    assert (np.abs(dual[x > 0]) <= tol).all()
+    ours = np.linalg.norm(a @ x - b) ** 2
+    theirs = np.linalg.norm(a @ scipy_nnls(a, b)[0] - b) ** 2
+    assert abs(ours - theirs) <= 1e-10 * theirs
+
+
+class TestNnls:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ill_conditioned_random_problems(self, seed):
+        gen = np.random.default_rng(seed)
+        m, k = 60, 30
+        u, _ = np.linalg.qr(gen.standard_normal((m, k)))
+        v, _ = np.linalg.qr(gen.standard_normal((k, k)))
+        a = (u * np.logspace(0, -6, k)) @ v.T  # condition number 1e6
+        b = gen.standard_normal(m)
+        x = nnls(a, b)
+        assert 0 < np.count_nonzero(x) < k  # some bounds are active
+        assert_nnls_optimal(a, b, x)
+        # a warm start on any set reaches the same optimum
+        assert_nnls_optimal(a, b, nnls(a, b, start=gen.random(k) < 0.5))
+
+    def test_model_matrices_of_a_fit(self, ball3, ball_reference,
+                                     monkeypatch):
+        from sectionlab import stereology
+
+        problems = []
+
+        def recording(a, b, start=None):
+            problems.append((a.copy(), b.copy(), start.copy()))
+            return nnls(a, b, start=start)
+
+        monkeypatch.setattr(stereology, "nnls", recording)
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 1000,
+                                     RngStream(13))
+        assert npmle_em(s_obs, ball_reference).converged
+        assert len(problems) >= 3
+        for a, b, start in problems:
+            assert_nnls_optimal(a, b, nnls(a, b, start=start))
+
+    def test_singular_warm_start_falls_back_to_cold(self):
+        gen = np.random.default_rng(7)
+        a = gen.standard_normal((20, 6))
+        a[:, 3] = a[:, 1]  # two equal columns
+        b = gen.standard_normal(20)
+        start = np.zeros(6, dtype=bool)
+        start[[1, 3]] = True
+        factor = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        assert _passive_solution(factor[:, :6], factor[:, 6], start) is None
+        x = nnls(a, b, start=start)
+        assert_nnls_optimal(a, b, x)
+        assert np.array_equal(x, nnls(a, b))
 
 
 class TestReferenceDensity:
