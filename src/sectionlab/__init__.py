@@ -1,9 +1,9 @@
 """Random hyperplane sections of convex bodies.
 
-Sampling of isotropic uniformly random (IUR) and fixed-orientation
-sections in 2D and 3D, kernel density approximation of the section
-volume law, and nonparametric unfolding of particle size distributions
-from observed section profiles.
+Sampling of isotropic uniformly random (IUR) sections in 2D and 3D,
+kernel density approximation of the section volume law, and
+nonparametric unfolding of particle size distributions from observed
+section profiles.
 """
 
 from .density import (
@@ -26,7 +26,6 @@ from .geometry import (
     IntervalSupport,
     build_polytope,
     builtin_body,
-    inner_section_function,
     mean_width,
     rotate_body,
     scale_body,
@@ -44,7 +43,6 @@ from .sampling import (
     acceptance_estimate,
     enclosing_radius,
     sample_directions,
-    sample_fur_sections,
     sample_iur_sections,
 )
 from .stereology import (

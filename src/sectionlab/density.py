@@ -256,28 +256,29 @@ def _pair_distance_counts(y: np.ndarray, nbins: int):
     return cnt, delta
 
 
-def _phi4_functional(cnt, delta, n, h):
+def _binned_functional(cnt, delta, n, h, hermite, power):
+    """Binned estimate of a density functional from the Gaussian kernel
+    derivative whose polynomial part, in u = (distance / h)^2, is
+    ``hermite``, scaled by h^-``power``."""
     k = np.arange(cnt.size)
     u = (k * delta / h) ** 2
     mask = u < 1000.0
-    term = np.exp(-0.5 * u[mask]) * (u[mask] ** 2 - 6.0 * u[mask] + 3.0)
-    total = 2.0 * float(term @ cnt[mask]) + n * 3.0
-    return total / (n * (n - 1.0) * h**5 * _SQRT2PI)
+    term = np.exp(-0.5 * u[mask]) * hermite(u[mask])
+    total = 2.0 * float(term @ cnt[mask]) + n * hermite(0.0)
+    return total / (n * (n - 1.0) * h**power * _SQRT2PI)
 
 
-def _phi6_functional(cnt, delta, n, h):
-    k = np.arange(cnt.size)
-    u = (k * delta / h) ** 2
-    mask = u < 1000.0
-    term = np.exp(-0.5 * u[mask]) * (
-        u[mask] ** 3 - 15.0 * u[mask] ** 2 + 45.0 * u[mask] - 15.0
-    )
-    total = 2.0 * float(term @ cnt[mask]) + n * (-15.0)
-    return total / (n * (n - 1.0) * h**7 * _SQRT2PI)
+def _hermite4(u):
+    """He_4(x) = x^4 - 6 x^2 + 3 with u = x^2."""
+    return u ** 2 - 6.0 * u + 3.0
 
 
-def sheather_jones_bandwidth(x, nbins: int = 1000,
-                             return_method: bool = False):
+def _hermite6(u):
+    """He_6(x) = x^6 - 15 x^4 + 45 x^2 - 15 with u = x^2."""
+    return u ** 3 - 15.0 * u ** 2 + 45.0 * u - 15.0
+
+
+def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     """Solve-the-equation plug-in bandwidth on the mirrored 2N sample.
 
     The input is the nonnegative (root-scale) sample; selection runs on
@@ -286,7 +287,8 @@ def sheather_jones_bandwidth(x, nbins: int = 1000,
     ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by bisection on
     [h_silverman / 100, 100 * h_silverman] to 1e-8 relative tolerance;
     when the equation has no root there, Silverman's rule on the mirrored
-    sample is returned and flagged.
+    sample is returned.  The second value names the method used:
+    "sheather_jones" or "silverman_fallback".
     """
     x = np.asarray(x, dtype=float)
     if x.size < 16:
@@ -306,16 +308,17 @@ def sheather_jones_bandwidth(x, nbins: int = 1000,
     cnt, delta = _pair_distance_counts(y, nbins)
     a = 0.920 * scale * n ** (-1.0 / 7.0)
     b = 0.912 * scale * n ** (-1.0 / 9.0)
-    sda = _phi4_functional(cnt, delta, n, a)
-    tdb = -_phi6_functional(cnt, delta, n, b)
+    sda = _binned_functional(cnt, delta, n, a, _hermite4, 5)
+    tdb = -_binned_functional(cnt, delta, n, b, _hermite6, 7)
     if not (sda > 0 and tdb > 0):
-        return (h_silver, "silverman_fallback") if return_method else h_silver
+        return h_silver, "silverman_fallback"
 
     c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
     alpha_const = 1.357 * (sda / tdb) ** (1.0 / 7.0)
 
     def fixed_point_gap(h):
-        s = _phi4_functional(cnt, delta, n, alpha_const * h ** (5.0 / 7.0))
+        s = _binned_functional(cnt, delta, n, alpha_const * h ** (5.0 / 7.0),
+                               _hermite4, 5)
         if s <= 0:
             return np.nan
         return (c1 / s) ** 0.2 - h
@@ -323,18 +326,18 @@ def sheather_jones_bandwidth(x, nbins: int = 1000,
     lo, hi = h_silver / 100.0, h_silver * 100.0
     flo, fhi = fixed_point_gap(lo), fixed_point_gap(hi)
     if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        return (h_silver, "silverman_fallback") if return_method else h_silver
+        return h_silver, "silverman_fallback"
     while (hi - lo) > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
         fmid = fixed_point_gap(mid)
         if not np.isfinite(fmid):
-            return (h_silver, "silverman_fallback") if return_method else h_silver
+            return h_silver, "silverman_fallback"
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
         else:
             hi = mid
     h = 0.5 * (lo + hi)
-    return (h, "sheather_jones") if return_method else h
+    return h, "sheather_jones"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,7 @@ def estimate_root_density(sample: SectionSample, grid_points: int = 512,
     """Root transform, bandwidth selection and reflection KDE in one step."""
     x = root_transform(sample)
     if bandwidth is None:
-        h, method = sheather_jones_bandwidth(x, return_method=True)
+        h, method = sheather_jones_bandwidth(x)
     else:
         h, method = float(bandwidth), "fixed"
     if grid is None:

@@ -3,8 +3,8 @@
 A body is either a polytope (hull vertices plus outward-oriented facets)
 or an analytic ball.  This module computes the quantities every other
 module consumes: hyperplane section volumes (chord lengths in 2D, cross
-section areas in 3D), support intervals and widths, the maximal section
-volume per direction, volumes, centroids and the mean width.
+section areas in 3D), support intervals and widths, volumes, centroids
+and the mean width.
 
 All operations are pure functions of immutable body data and may be
 called concurrently without synchronization.
@@ -13,7 +13,7 @@ called concurrently without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,6 @@ from .errors import DegenerateInput, InvalidBody
 
 # Point-on-plane classification tolerance, relative to body diameter.
 PLANE_TOL = 1e-12
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_direction(theta) -> np.ndarray:
@@ -84,26 +82,35 @@ class ConvexBody:
     # -- derived, cached ------------------------------------------------
 
     @cached_property
-    def centroid(self) -> np.ndarray:
+    def _moments(self) -> tuple[float, np.ndarray]:
+        """Volume and centroid: analytic for a ball, else the shoelace sum
+        (2D) or signed tetrahedra fanned from each facet's first vertex to
+        the vertex mean (3D)."""
         if self.kind == "ball":
-            return self.center.copy()
+            r = self.radius
+            vol = math.pi * r * r if self.dim == 2 else 4.0 * math.pi * r**3 / 3.0
+            return vol, self.center.copy()
+        v = self.vertices
         if self.dim == 2:
-            v = self.vertices
             x, y = v[:, 0], v[:, 1]
             xn, yn = np.roll(x, -1), np.roll(y, -1)
             cross = x * yn - xn * y
             area = cross.sum() / 2.0
-            cx = ((x + xn) * cross).sum() / (6.0 * area)
-            cy = ((y + yn) * cross).sum() / (6.0 * area)
-            return np.array([cx, cy])
-        ref = self.vertices.mean(axis=0)
-        tris = self._triangles
-        v0, v1, v2 = (self.vertices[tris[:, k]] for k in range(3))
-        vols = np.einsum(
-            "ij,ij->i", v0 - ref, np.cross(v1 - ref, v2 - ref)
-        ) / 6.0
+            sums = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()])
+            return float(abs(area)), sums / (6.0 * area)
+        ref = v.mean(axis=0)
+        fan = np.array([(f[0], f[k], f[k + 1]) for f in self.facets
+                        for k in range(1, len(f) - 1)], dtype=np.intp)
+        v0, v1, v2 = (v[fan[:, k]] for k in range(3))
+        six = np.einsum("ij,ij->i", v0 - ref, np.cross(v1 - ref, v2 - ref))
+        vols = six / 6.0
         cents = (ref + v0 + v1 + v2) / 4.0
-        return (vols[:, None] * cents).sum(axis=0) / vols.sum()
+        return (float(six.sum() / 6.0),
+                (vols[:, None] * cents).sum(axis=0) / vols.sum())
+
+    @property
+    def centroid(self) -> np.ndarray:
+        return self._moments[1]
 
     @cached_property
     def diameter_bound(self) -> float:
@@ -112,15 +119,6 @@ class ConvexBody:
             return 2.0 * self.radius
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(span))
-
-    @cached_property
-    def _triangles(self) -> np.ndarray:
-        """(n_tri, 3) fan triangulation of all facets (3D polytopes)."""
-        tris = []
-        for facet in self.facets:
-            for k in range(1, len(facet) - 1):
-                tris.append((facet[0], facet[k], facet[k + 1]))
-        return np.array(tris, dtype=np.intp)
 
     @cached_property
     def _edge_incidence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -349,11 +347,8 @@ def builtin_body(name: str, normalize_volume: bool = False,
 def translate_body(body: ConvexBody, shift) -> ConvexBody:
     shift = np.asarray(shift, dtype=float)
     if body.kind == "ball":
-        return ConvexBody(dim=body.dim, kind="ball", center=body.center + shift,
-                          radius=body.radius, label=body.label)
-    return ConvexBody(dim=body.dim, kind="polytope",
-                      vertices=body.vertices + shift, facets=body.facets,
-                      label=body.label)
+        return replace(body, center=body.center + shift)
+    return replace(body, vertices=body.vertices + shift)
 
 
 def rotate_body(body: ConvexBody, matrix) -> ConvexBody:
@@ -361,24 +356,17 @@ def rotate_body(body: ConvexBody, matrix) -> ConvexBody:
     if np.linalg.det(matrix) < 0:
         raise ValueError("rotation matrix must have determinant +1")
     if body.kind == "ball":
-        return ConvexBody(dim=body.dim, kind="ball",
-                          center=matrix @ body.center, radius=body.radius,
-                          label=body.label)
-    return ConvexBody(dim=body.dim, kind="polytope",
-                      vertices=body.vertices @ matrix.T, facets=body.facets,
-                      label=body.label)
+        return replace(body, center=matrix @ body.center)
+    return replace(body, vertices=body.vertices @ matrix.T)
 
 
 def scale_body(body: ConvexBody, factor: float) -> ConvexBody:
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     if body.kind == "ball":
-        return ConvexBody(dim=body.dim, kind="ball",
-                          center=body.center * factor,
-                          radius=body.radius * factor, label=body.label)
-    return ConvexBody(dim=body.dim, kind="polytope",
-                      vertices=body.vertices * factor, facets=body.facets,
-                      label=body.label)
+        return replace(body, center=body.center * factor,
+                       radius=body.radius * factor)
+    return replace(body, vertices=body.vertices * factor)
 
 
 def random_rotation(dim: int, generator) -> np.ndarray:
@@ -454,19 +442,7 @@ def validate_body(body: ConvexBody) -> None:
 
 def volume(body: ConvexBody) -> float:
     """Lebesgue volume: shoelace (2D), signed tetrahedra (3D), analytic ball."""
-    if body.kind == "ball":
-        r = body.radius
-        return math.pi * r * r if body.dim == 2 else 4.0 * math.pi * r**3 / 3.0
-    v = body.vertices
-    if body.dim == 2:
-        x, y = v[:, 0], v[:, 1]
-        return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
-    ref = v.mean(axis=0)
-    t = body._triangles
-    vols = np.einsum(
-        "ij,ij->i", v[t[:, 0]] - ref, np.cross(v[t[:, 1]] - ref, v[t[:, 2]] - ref)
-    )
-    return float(vols.sum() / 6.0)
+    return body._moments[0]
 
 
 def support_interval(body: ConvexBody, theta) -> IntervalSupport:
@@ -654,56 +630,16 @@ def _clip_half_plane(poly, a, b, rhs):
     return out
 
 
-def inner_section_function(body: ConvexBody, theta) -> tuple[float, float]:
-    """Maximal section volume along ``theta`` and one maximizing offset.
-
-    The root-transformed parallel section volume is concave in the offset,
-    so a golden-section search on the support interval finds the maximum;
-    derivative methods would stumble on the kinks at vertex crossings.
-    When the maximizer is an interval (parallel-edge polytopes) one point
-    of it is returned.
-    """
-    theta = _check_direction(theta)
-    if body.kind == "ball":
-        r = body.radius
-        m = math.pi * r * r if body.dim == 3 else 2.0 * r
-        return m, float(body.center @ theta)
-    sup = support_interval(body, theta)
-    a, b = sup.a, sup.b
-    power = 1.0 / (body.dim - 1)
-
-    def froot(s):
-        return section_volume(body, Hyperplane(theta, s)) ** power
-
-    tol = 1e-10 * (b - a)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = froot(x1), froot(x2)
-    lo, hi = a, b
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = froot(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = froot(x1)
-    s_star = (lo + hi) / 2.0
-    return section_volume(body, Hyperplane(theta, s_star)), float(s_star)
-
-
-def mean_width(body: ConvexBody, quadrature_nodes: int = 200_000) -> float:
+def mean_width(body: ConvexBody) -> float:
     """Average width over directions, by spherical quadrature.
 
     2D uses the midpoint rule in angle over the upper half circle (the
     integrand is periodic, so this is the composite trapezoid rule up to
     phase); 3D uses a Gauss-Legendre x uniform-longitude product rule.
-    Relative error is below 1e-3 for every built-in body at the default
-    node count.
+    Both use about 200 000 nodes, where the relative error is below 1e-3
+    for every built-in body.
     """
-    if quadrature_nodes < 64:
-        raise ValueError("mean width quadrature needs at least 64 nodes")
+    nodes = 200_000
 
     def width_of(dirs):
         if body.kind == "ball":
@@ -712,10 +648,10 @@ def mean_width(body: ConvexBody, quadrature_nodes: int = 200_000) -> float:
         return d.max(axis=0) - d.min(axis=0)
 
     if body.dim == 2:
-        phi = (np.arange(quadrature_nodes) + 0.5) * np.pi / quadrature_nodes
+        phi = (np.arange(nodes) + 0.5) * np.pi / nodes
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
         return float(width_of(dirs).mean())
-    mt = max(8, int(math.sqrt(quadrature_nodes / 2.0)))
+    mt = int(math.sqrt(nodes / 2.0))
     mphi = 2 * mt
     t, wt = np.polynomial.legendre.leggauss(mt)
     t = 0.5 * (t + 1.0)  # z = cos(omega) on [0, 1]

@@ -6,9 +6,6 @@ direction is drawn uniformly on the sphere and an offset uniformly on
 (0, R); proposals whose plane misses the body are rejected.  Accepted
 section volumes are distributed like the volume of an IUR section.
 
-Fixed-orientation (FUR) sections skip rejection: for a fixed direction
-the offset is uniform on the body's support interval.
-
 Proposals are sharded over ``workers`` independent substreams, run in
 parallel processes and merged in stream order, so results are
 reproducible for a fixed worker count regardless of execution schedule.
@@ -24,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample
-from .geometry import (
-    ConvexBody,
-    section_volumes,
-    support_interval,
-    translate_body,
-    validate_body,
-    _check_direction,
-)
+from .geometry import ConvexBody, section_volumes, translate_body, validate_body
 from .rng import RngStream
 
 _BATCH = 1 << 15
@@ -92,8 +82,7 @@ def enclosing_radius(body: ConvexBody) -> float:
 
 
 def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
-                        workers: int = 1, batch_size: int = _BATCH
-                        ) -> SectionSample:
+                        workers: int = 1) -> SectionSample:
     """Exactly ``size`` i.i.d. IUR section volumes of ``body``.
 
     The body is recentered at its centroid and enclosed in the smallest
@@ -113,7 +102,7 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
 
     quotas = [size // workers + (1 if w < size % workers else 0)
               for w in range(workers)]
-    shards = [(centered, radius, quota, rng.derive(w), batch_size)
+    shards = [(centered, radius, quota, rng.derive(w))
               for w, quota in enumerate(quotas) if quota]
     processes = min(len(shards), len(os.sched_getaffinity(0)))
     if processes == 1:
@@ -138,13 +127,13 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     )
 
 
-def _worker_draws(body, radius, quota, stream, batch_size):
+def _worker_draws(body, radius, quota, stream):
     gen = stream.generator()
     dim = body.dim
     got, nprop = 0, 0
     parts = []
     while got < quota:
-        u = gen.random((batch_size, dim))
+        u = gen.random((_BATCH, dim))
         thetas = _directions_from_uniforms(u)
         offsets = radius * u[:, dim - 1]
         if body.kind == "ball":
@@ -161,7 +150,7 @@ def _worker_draws(body, radius, quota, stream, batch_size):
             hits[last + 1:] = False
             nprop += last + 1
         else:
-            nprop += batch_size
+            nprop += _BATCH
         idx = np.nonzero(hits)[0]
         if idx.size:
             parts.append(section_volumes(
@@ -169,22 +158,6 @@ def _worker_draws(body, radius, quota, stream, batch_size):
                 None if heights is None else heights[:, idx]))
             got += idx.size
     return np.concatenate(parts), nprop
-
-
-def sample_fur_sections(body: ConvexBody, theta, size: int,
-                        rng: RngStream) -> SectionSample:
-    """Fixed-orientation sections: offset uniform on the support interval."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    theta = _check_direction(theta)
-    validate_body(body)
-    sup = support_interval(body, theta)
-    gen = rng.generator()
-    offsets = sup.a + sup.width * gen.random(size)
-    thetas = np.broadcast_to(theta, (size, body.dim))
-    values = section_volumes(body, thetas, offsets)
-    return SectionSample(values=values, n_proposed=size, n_accepted=size,
-                         seed=rng.seed, body_label=body.label, dim=body.dim)
 
 
 def acceptance_estimate(sample: SectionSample) -> float:

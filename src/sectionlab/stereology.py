@@ -182,12 +182,11 @@ class ReferenceDensity:
     """Root-scale section density of the unit-size reference particle.
 
     Evaluated by linear interpolation on the stored grid and truncated to
-    0 outside (0, support_max]; the stored density must integrate to
+    0 outside (0, last grid point]; the stored density must integrate to
     1 within 1e-3.
     """
 
     estimate: DensityEstimate
-    support_max: float
 
     def __post_init__(self):
         total = self.estimate.integral()
@@ -197,26 +196,18 @@ class ReferenceDensity:
             )
 
     @classmethod
-    def from_estimate(cls, estimate: DensityEstimate,
-                      support_max: float | None = None) -> "ReferenceDensity":
-        if support_max is None:
-            support_max = float(estimate.grid[-1])
-        return cls(estimate, support_max)
-
-    @classmethod
     def from_body(cls, body: ConvexBody, size: int = 1_000_000,
-                  rng: RngStream | None = None, grid_points: int = 512,
+                  rng: RngStream | None = None,
                   workers: int = 1) -> "ReferenceDensity":
         if rng is None:
             rng = RngStream(0)
         sample = sample_iur_sections(body, size, rng, workers=workers)
-        est = estimate_root_density(sample, grid_points=grid_points)
-        return cls.from_estimate(est)
+        return cls(estimate_root_density(sample))
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        vals = self.estimate.evaluate(z)
-        return np.where((z > 0) & (z <= self.support_max), vals, 0.0)
+        # the interpolant is already 0 past the last grid point
+        return np.where(z > 0, self.estimate.evaluate(z), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ class TestBandwidths:
         gen = np.random.default_rng(42)
         x = np.abs(gen.standard_normal(1024))
         h_direct = sj_direct_reference(x)
-        h_binned = sheather_jones_bandwidth(x)
+        h_binned, _ = sheather_jones_bandwidth(x)
         assert h_binned == pytest.approx(h_direct, rel=0.02)
 
     def test_sj_on_half_normal_1e5(self):
@@ -170,7 +170,7 @@ class TestBandwidths:
         # optimal Gaussian-kernel bandwidth is (4/3)^(1/5) (2e5)^(-1/5)
         gen = np.random.default_rng(7)
         x = np.abs(gen.standard_normal(100_000))
-        h = sheather_jones_bandwidth(x)
+        h, _ = sheather_jones_bandwidth(x)
         amise = (4.0 / 3.0) ** 0.2 * (2e5) ** (-0.2)
         assert h == pytest.approx(amise, rel=0.1)
         assert 0.075 < h < 0.11
@@ -178,8 +178,8 @@ class TestBandwidths:
     def test_scale_equivariance(self):
         gen = np.random.default_rng(8)
         x = gen.exponential(1.0, 4096)
-        h1 = sheather_jones_bandwidth(x)
-        h2 = sheather_jones_bandwidth(2.0 * x)
+        h1, _ = sheather_jones_bandwidth(x)
+        h2, _ = sheather_jones_bandwidth(2.0 * x)
         assert h2 == pytest.approx(2.0 * h1, rel=1e-6)
 
     def test_zero_variance(self):
@@ -195,17 +195,17 @@ class TestBandwidths:
     def test_silverman_fallback_flag(self, monkeypatch):
         import sectionlab.density as de
 
-        monkeypatch.setattr(de, "_phi6_functional", lambda *a: 1.0)
+        monkeypatch.setattr(de, "_binned_functional", lambda *a: 1.0)
         gen = np.random.default_rng(9)
         x = np.abs(gen.standard_normal(1000))
-        h, method = de.sheather_jones_bandwidth(x, return_method=True)
+        h, method = de.sheather_jones_bandwidth(x)
         assert method == "silverman_fallback"
         assert h == pytest.approx(de.silverman_bandwidth(np.concatenate([x, -x])))
 
     def test_sj_method_flag(self):
         gen = np.random.default_rng(10)
         x = np.abs(gen.standard_normal(1000))
-        _, method = sheather_jones_bandwidth(x, return_method=True)
+        _, method = sheather_jones_bandwidth(x)
         assert method == "sheather_jones"
 
 

@@ -9,7 +9,6 @@ from sectionlab.geometry import (
     Hyperplane,
     build_polytope,
     builtin_body,
-    inner_section_function,
     mean_width,
     random_rotation,
     rotate_body,
@@ -383,30 +382,6 @@ class TestSectionProperties:
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
-class TestInnerSectionFunction:
-    def test_ball_great_circle(self, ball3):
-        m, s_star = inner_section_function(ball3, np.array([0.0, 0.0, 1.0]))
-        assert m == pytest.approx(math.pi)
-        assert s_star == pytest.approx(0.0, abs=1e-9)
-
-    def test_cube_axis_flat_maximum(self, cube):
-        m, s_star = inner_section_function(cube, np.array([0.0, 0.0, 1.0]))
-        assert m == pytest.approx(1.0, rel=1e-10)
-        assert abs(s_star) <= 0.5
-
-    def test_cube_diagonal_vs_grid_scan(self, cube):
-        theta = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-        m, s_star = inner_section_function(cube, theta)
-        sup = support_interval(cube, theta)
-        grid = np.linspace(sup.a, sup.b, 20001)
-        scan = section_volumes(
-            cube, np.broadcast_to(theta, (grid.size, 3)), grid
-        )
-        assert m == pytest.approx(scan.max(), rel=1e-7)
-        assert m == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-9)
-        assert s_star == pytest.approx(0.0, abs=1e-6)
-
-
 class TestMeanWidth:
     def test_ball_constant_width(self, ball3):
         assert mean_width(ball3) == pytest.approx(2.0, rel=1e-12)
@@ -423,10 +398,6 @@ class TestMeanWidth:
 
     def test_cube_three_halves(self, cube):
         assert mean_width(cube) == pytest.approx(1.5, rel=1e-3)
-
-    def test_node_floor(self, cube):
-        with pytest.raises(ValueError):
-            mean_width(cube, quadrature_nodes=32)
 
 
 class TestValidateBody:

@@ -16,7 +16,6 @@ from sectionlab.sampling import (
     acceptance_estimate,
     enclosing_radius,
     sample_directions,
-    sample_fur_sections,
     sample_iur_sections,
 )
 from sectionlab.validation import ks_vs_cdf
@@ -77,9 +76,12 @@ class TestIurSampling:
         assert np.array_equal(one.values, two.values)
         assert one.n_proposed == two.n_proposed
 
-    def test_batch_size_does_not_change_draws(self, cube):
+    def test_batch_size_does_not_change_draws(self, cube, monkeypatch):
+        import sectionlab.sampling as sampling
+
         one = sample_iur_sections(cube, 2000, RngStream(42))
-        two = sample_iur_sections(cube, 2000, RngStream(42), batch_size=311)
+        monkeypatch.setattr(sampling, "_BATCH", 311)
+        two = sample_iur_sections(cube, 2000, RngStream(42))
         assert np.array_equal(one.values, two.values)
         assert one.n_proposed == two.n_proposed
 
@@ -129,26 +131,6 @@ class TestIurSampling:
     def test_size_validation(self, cube):
         with pytest.raises(ValueError):
             sample_iur_sections(cube, 0, RngStream(0))
-
-
-class TestFurSampling:
-    def test_square_parallel_slab(self, square):
-        sample = sample_fur_sections(square, np.array([0.0, 1.0]), 500,
-                                     RngStream(2))
-        assert np.allclose(sample.values, 1.0, atol=1e-12)
-        assert sample.n_proposed == 500
-
-    def test_cube_axis(self, cube):
-        sample = sample_fur_sections(cube, np.array([0.0, 0.0, 1.0]), 500,
-                                     RngStream(2))
-        assert np.allclose(sample.values, 1.0, atol=1e-12)
-
-    def test_ball_area_law(self, ball3):
-        # offset uniform on (-1, 1), area pi (1 - s^2): analytic CDF below
-        sample = sample_fur_sections(ball3, np.array([0.0, 0.0, 1.0]),
-                                     1_000_000, RngStream(4))
-        stat = ks_vs_cdf(sample.values, lambda a: 1.0 - np.sqrt(1.0 - a / np.pi))
-        assert stat < 0.002
 
 
 class TestSectionLaws:

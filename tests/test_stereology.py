@@ -30,7 +30,7 @@ def triangular_reference():
     grid = np.linspace(0.0, 1.0, 513)
     est = DensityEstimate(grid=grid, values=2.0 * grid, bandwidth=0.01,
                           transform="root_scale", sample_size=1000)
-    return ReferenceDensity.from_estimate(est, support_max=1.0)
+    return ReferenceDensity(est)
 
 
 def em_loglik(s_obs, reference, tol=1e-8, max_iter=20_000):
@@ -395,7 +395,7 @@ class TestReferenceDensity:
                                 bandwidth=0.1, transform="root_scale",
                                 sample_size=10)
         with pytest.raises(ValueError):
-            ReferenceDensity.from_estimate(bogus)
+            ReferenceDensity(bogus)
 
     def test_support_truncation(self):
         ref = triangular_reference()
