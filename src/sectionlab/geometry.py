@@ -467,15 +467,13 @@ def section_volume(body: ConvexBody, plane: Hyperplane) -> float:
     return float(section_volumes(body, theta, np.array([plane.offset]))[0])
 
 
-def section_volumes(body: ConvexBody, thetas, offsets,
-                    heights=None) -> np.ndarray:
+def section_volumes(body: ConvexBody, thetas, offsets) -> np.ndarray:
     """Vectorized section volumes for a batch of hyperplanes.
 
-    ``thetas`` is (m, dim) with unit rows, ``offsets`` is (m,).  A caller
-    that already has the vertex heights ``vertices @ thetas.T`` (nv, m)
-    may pass them as ``heights``; otherwise they are computed here.
+    ``thetas`` is (m, dim) with unit rows, ``offsets`` is (m,).
     Evaluation is chunked internally so memory stays bounded for large
-    batches, and the result does not depend on the chunk boundaries.
+    batches, and each value has the same bits wherever the chunk or batch
+    boundaries fall.
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -496,14 +494,11 @@ def section_volumes(body: ConvexBody, thetas, offsets,
     out = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        if heights is None:
-            # elementwise, unlike a matrix product, rounds each entry the
-            # same way wherever the chunk boundaries fall
-            h = body.vertices[:, 0, None] * thetas[lo:hi, 0]
-            for k in range(1, body.dim):
-                h += body.vertices[:, k, None] * thetas[lo:hi, k]
-        else:
-            h = heights[:, lo:hi]
+        # vertex heights elementwise: unlike a matrix product, this rounds
+        # each entry the same way wherever the boundaries fall
+        h = body.vertices[:, 0, None] * thetas[lo:hi, 0]
+        for k in range(1, body.dim):
+            h += body.vertices[:, k, None] * thetas[lo:hi, k]
         out[lo:hi] = _edge_sections(body, thetas[lo:hi], h - offsets[lo:hi])
     return out
 

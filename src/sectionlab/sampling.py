@@ -137,9 +137,10 @@ def _worker_draws(body, radius, quota, stream):
         thetas = _directions_from_uniforms(u)
         offsets = radius * u[:, dim - 1]
         if body.kind == "ball":
-            heights = None
             hits = offsets <= body.radius  # always true: radius == R
         else:
+            # a fast BLAS product only decides acceptance: its rounding
+            # depends on the batch, so section_volumes does not reuse it
             heights = body.vertices @ thetas.T
             hits = ((offsets >= heights.min(axis=0))
                     & (offsets <= heights.max(axis=0)))
@@ -153,9 +154,7 @@ def _worker_draws(body, radius, quota, stream):
             nprop += _BATCH
         idx = np.nonzero(hits)[0]
         if idx.size:
-            parts.append(section_volumes(
-                body, thetas[idx], offsets[idx],
-                None if heights is None else heights[:, idx]))
+            parts.append(section_volumes(body, thetas[idx], offsets[idx]))
             got += idx.size
     return np.concatenate(parts), nprop
 

@@ -76,14 +76,21 @@ class TestIurSampling:
         assert np.array_equal(one.values, two.values)
         assert one.n_proposed == two.n_proposed
 
-    def test_batch_size_does_not_change_draws(self, cube, monkeypatch):
+    def test_batch_size_does_not_change_draws(self, cube, dodecahedron,
+                                              monkeypatch):
+        # the dodecahedron and the 7-gon have vertex coordinates that are
+        # not binary fractions, where a matrix product's rounding would
+        # depend on a plane's position in its batch
         import sectionlab.sampling as sampling
+        from sectionlab.geometry import builtin_body
 
-        one = sample_iur_sections(cube, 2000, RngStream(42))
+        bodies = (cube, dodecahedron, builtin_body("polygon7"))
+        first = [sample_iur_sections(b, 20000, RngStream(42)) for b in bodies]
         monkeypatch.setattr(sampling, "_BATCH", 311)
-        two = sample_iur_sections(cube, 2000, RngStream(42))
-        assert np.array_equal(one.values, two.values)
-        assert one.n_proposed == two.n_proposed
+        for body, one in zip(bodies, first):
+            two = sample_iur_sections(body, 20000, RngStream(42))
+            assert np.array_equal(one.values, two.values), body.label
+            assert one.n_proposed == two.n_proposed
 
     def test_worker_merge_reproducible(self, cube):
         one = sample_iur_sections(cube, 2000, RngStream(42), workers=4)
