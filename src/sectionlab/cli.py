@@ -85,7 +85,8 @@ def _command(command):
     """A command's callback: ``command`` gets the RunConfig of the options.
 
     Options named like a RunConfig field fill it; the others go to
-    ``extra``.  Bad input is reported as one JSON line on stderr, exit 3.
+    ``extra``.  Bad input is reported as one JSON line on stderr, exit 3;
+    so is a missing scipy, which body files and ``polygon<k>`` need.
     """
     @functools.wraps(command)
     def run(**options):
@@ -94,7 +95,7 @@ def _command(command):
         config = RunConfig(command=command.__name__, extra=extra, **known)
         try:
             return command(config)
-        except (SectionLabError, ValueError, OSError) as exc:
+        except (SectionLabError, ValueError, OSError, ImportError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
             click.echo(json.dumps(payload, sort_keys=True), err=True)
             sys.exit(EXIT_INPUT)

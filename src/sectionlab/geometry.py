@@ -88,15 +88,17 @@ class ConvexBody:
         the vertex mean (3D)."""
         if self.kind == "ball":
             r = self.radius
-            vol = math.pi * r * r if self.dim == 2 else 4.0 * math.pi * r**3 / 3.0
-            return vol, self.center.copy()
+            if self.dim == 2:
+                return math.pi * r * r, self.center.copy()
+            return 4.0 * math.pi * r**3 / 3.0, self.center.copy()
         v = self.vertices
         if self.dim == 2:
             x, y = v[:, 0], v[:, 1]
             xn, yn = np.roll(x, -1), np.roll(y, -1)
             cross = x * yn - xn * y
             area = cross.sum() / 2.0
-            sums = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()])
+            sums = np.array([((x + xn) * cross).sum(),
+                             ((y + yn) * cross).sum()])
             return float(abs(area)), sums / (6.0 * area)
         ref = v.mean(axis=0)
         fan = np.array([(f[0], f[k], f[k + 1]) for f in self.facets

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample
-from .geometry import ConvexBody, section_volumes, translate_body, validate_body
+from .geometry import (ConvexBody, section_volumes, translate_body,
+                       validate_body)
 from .rng import RngStream
 
 _BATCH = 1 << 15

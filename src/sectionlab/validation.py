@@ -167,7 +167,8 @@ def check_brunn_concavity(body: ConvexBody, seed: int = 0) -> CheckResult:
     theta = sample_directions(body.dim, 1, RngStream(seed))[0]
     sup = support_interval(body, theta)
     grid = np.linspace(sup.a, sup.b, 1000)
-    vols = section_volumes(body, np.broadcast_to(theta, (1000, body.dim)), grid)
+    vols = section_volumes(
+        body, np.broadcast_to(theta, (grid.size, body.dim)), grid)
     f = vols ** (1.0 / (body.dim - 1))
     gap = f[1:-1] - (f[:-2] + f[2:]) / 2.0
     stat = float(-gap.min())

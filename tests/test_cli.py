@@ -322,3 +322,43 @@ class TestStartsWithoutScipy:
         assert report["import"] == []
         assert report["resolve_shape"] == []
         assert report["commands"] == []
+
+
+BLOCKED_SCIPY_SCRIPT = r"""
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, BlockScipy())
+import sectionlab.cli as cli
+cli.main.main(args=sys.argv[1:], prog_name="sectionlab")
+"""
+
+
+class TestWithoutScipy:
+    @pytest.mark.parametrize("shape", ["polygon7", "triangle.json"])
+    def test_missing_scipy_is_an_input_error(self, tmp_path, shape):
+        """Shapes that need qhull exit 3 with a one-line JSON error that
+        names scipy, not with a traceback, when scipy cannot be imported."""
+        import os
+        import subprocess
+        import sys
+
+        import sectionlab
+
+        (tmp_path / "triangle.json").write_text(
+            '{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+        src = os.path.dirname(os.path.dirname(sectionlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", BLOCKED_SCIPY_SCRIPT, "density", "--shape",
+             shape, "--n", "2000", "-o", "out.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        error = json.loads(done.stderr.splitlines()[-1])
+        assert error["error"] == "ModuleNotFoundError"
+        assert "scipy" in error["message"]

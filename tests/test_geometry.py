@@ -21,6 +21,7 @@ from sectionlab.geometry import (
     validate_body,
     volume,
 )
+from sectionlab.rng import RngStream
 from conftest import random_directions
 
 DODECA_EDGE1_VOLUME = (15.0 + 7.0 * math.sqrt(5.0)) / 4.0
@@ -132,6 +133,25 @@ class TestVolume:
     def test_volume_2d_matches_qhull(self, square):
         hull = ConvexHull(square.vertices)
         assert volume(square) == pytest.approx(hull.volume, rel=1e-12)
+
+    def test_centroid_matches_delaunay(self, random_hull20):
+        """Volume and centroid of asymmetric bodies against the
+        volume-weighted centroids of a Delaunay triangulation."""
+        from scipy.spatial import Delaunay
+
+        gen = RngStream(31, 4).generator()
+        ang = np.sort(gen.uniform(0.0, 2.0 * np.pi, 10))
+        polygon = build_polytope(
+            np.column_stack([np.cos(ang), np.sin(ang)]) + [0.3, -0.2])
+        assert len(polygon.vertices) == 10
+        for body in (random_hull20, polygon):
+            simplices = body.vertices[Delaunay(body.vertices).simplices]
+            edges = simplices[:, 1:] - simplices[:, :1]
+            sizes = np.abs(np.linalg.det(edges)) / math.factorial(body.dim)
+            centroid = sizes @ simplices.mean(axis=1) / sizes.sum()
+            assert volume(body) == pytest.approx(sizes.sum(), rel=1e-12)
+            assert (np.linalg.norm(body.centroid - centroid)
+                    <= 1e-12 * np.linalg.norm(centroid))
 
 
 class TestSupportInterval:
