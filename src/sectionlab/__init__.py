@@ -16,7 +16,6 @@ from .density import (
     reflection_kde,
     root_transform,
     sheather_jones_bandwidth,
-    silverman_bandwidth,
     untransform_density,
 )
 from .errors import SectionLabError
@@ -50,7 +49,6 @@ from .stereology import (
     Gamma,
     PointMass,
     ReferenceDensity,
-    StepDistribution,
     UnfoldResult,
     length_biased,
     log_likelihood,

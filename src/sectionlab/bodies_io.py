@@ -1,9 +1,10 @@
-"""Reading and writing convex bodies as JSON.
+"""Reading convex bodies from JSON.
 
 Two polytope encodings are accepted: a vertex list (taken as the points
-whose hull is the body) and a half-space system {normals, offsets} with
-interior {x : n_i . x <= c_i}, converted by vertex enumeration.  Balls
-are {kind: "ball", center, radius}.
+whose hull is the body; a ``facets`` key is ignored, since the hull is
+rebuilt) and a half-space system {normals, offsets} with interior
+{x : n_i . x <= c_i}, converted by vertex enumeration.  Balls are
+{kind: "ball", center, radius}.
 """
 
 from __future__ import annotations
@@ -14,25 +15,6 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import ConvexBody, build_polytope
-from .io import write_json
-
-
-def body_to_dict(body: ConvexBody) -> dict:
-    if body.kind == "ball":
-        return {
-            "kind": "ball",
-            "dim": body.dim,
-            "center": body.center.tolist(),
-            "radius": body.radius,
-            "label": body.label,
-        }
-    return {
-        "kind": "polytope",
-        "dim": body.dim,
-        "vertices": body.vertices.tolist(),
-        "facets": [list(f) for f in body.facets],
-        "label": body.label,
-    }
 
 
 def body_from_dict(data: dict, label: str | None = None) -> ConvexBody:
@@ -101,6 +83,3 @@ def load_body(path, label: str | None = None) -> ConvexBody:
         data = json.load(fh)
     return body_from_dict(data, label=label)
 
-
-def save_body(body: ConvexBody, path) -> None:
-    write_json(body_to_dict(body), path)

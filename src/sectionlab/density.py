@@ -103,6 +103,9 @@ class StepCDF:
     def weights(self) -> np.ndarray:
         return np.diff(self.cumulative, prepend=0.0)
 
+    def mean(self) -> float:
+        return float(self.locations @ self.weights)
+
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.locations, x, side="right")
@@ -160,27 +163,36 @@ def untransform_density(estimate: DensityEstimate, dim: int,
 # Kernel density estimation
 
 
-def _gaussian_window_sum(sorted_x: np.ndarray, z: float, h: float) -> float:
-    """Sum of exp(-((z - x)/h)^2 / 2) over all x; exact despite windowing."""
+def _window_sums(sorted_x: np.ndarray, centres: np.ndarray,
+                 h: float) -> np.ndarray:
+    """Sum of exp(-((z - x)/h)^2 / 2) over all x, for each centre z;
+    exact despite windowing."""
     reach = _KERNEL_REACH * h
-    lo = np.searchsorted(sorted_x, z - reach)
-    hi = np.searchsorted(sorted_x, z + reach)
-    if lo == hi:
-        return 0.0
-    u = (z - sorted_x[lo:hi]) / h
-    return float(np.exp(-0.5 * u * u).sum())
+    lo = np.searchsorted(sorted_x, centres - reach)
+    hi = np.searchsorted(sorted_x, centres + reach)
+    out = np.zeros(centres.shape)
+    for i, (z, a, b) in enumerate(zip(centres, lo, hi)):
+        if a < b:
+            u = (z - sorted_x[a:b]) / h
+            out[i] = np.exp(-0.5 * u * u).sum()
+    return out
 
 
-def classical_kde(x, h: float, grid) -> np.ndarray:
-    """Plain Gaussian KDE values of ``x`` on ``grid``."""
-    x = np.sort(np.asarray(x, dtype=float))
+def _kde_sample(x, h: float) -> np.ndarray:
+    """The sample as a sorted float array, after the checks both KDEs share."""
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot estimate a density from no data")
     if not h > 0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
+    return np.sort(x)
+
+
+def classical_kde(x, h: float, grid) -> np.ndarray:
+    """Plain Gaussian KDE values of ``x`` on ``grid``."""
+    x = _kde_sample(x, h)
     grid = np.asarray(grid, dtype=float)
-    out = np.array([_gaussian_window_sum(x, z, h) for z in grid])
-    return out / (x.size * h * _SQRT2PI)
+    return _window_sums(x, grid, h) / (x.size * h * _SQRT2PI)
 
 
 def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
@@ -191,29 +203,20 @@ def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
     integrates to exactly 1 over [0, inf) and equals twice the classical
     KDE of the mirrored sample of size 2N.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise EmptySample("cannot estimate a density from no data")
-    if not h > 0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    if (x < 0).any():
+    xs = _kde_sample(x, h)
+    if (xs < 0).any():
         raise ValueError("reflection KDE expects nonnegative data")
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise ValueError("evaluation grid must be nonnegative")
-    xs = np.sort(x)
-    values = np.empty(grid.shape)
-    for i, z in enumerate(grid):
-        direct = _gaussian_window_sum(xs, z, h)
-        mirrored = _gaussian_window_sum(xs, -z, h)
-        values[i] = direct + mirrored
-    values /= x.size * h * _SQRT2PI
+    values = _window_sums(xs, grid, h) + _window_sums(xs, -grid, h)
+    values /= xs.size * h * _SQRT2PI
     return DensityEstimate(
         grid=grid.copy(),
         values=values,
         bandwidth=float(h),
         transform=ROOT_SCALE,
-        sample_size=int(x.size),
+        sample_size=int(xs.size),
         bandwidth_method=bandwidth_method,
     )
 
@@ -227,17 +230,6 @@ def default_grid(x, h: float, grid_points: int = 512) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Bandwidth selection
-
-
-def silverman_bandwidth(x) -> float:
-    """Silverman's rule of thumb on the given data."""
-    x = np.asarray(x, dtype=float)
-    sd = x.std()
-    q75, q25 = np.percentile(x, [75, 25])
-    spread = min(sd, (q75 - q25) / 1.34)
-    if spread <= 0:
-        raise ZeroVariance("sample has zero variance")
-    return 0.9 * spread * x.size ** (-0.2)
 
 
 def _pair_distance_counts(y: np.ndarray, nbins: int):
@@ -293,7 +285,7 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     x = np.asarray(x, dtype=float)
     if x.size < 16:
         raise EmptySample("bandwidth selection needs at least 16 points")
-    if x.std() <= 0:
+    if np.ptp(x) == 0:  # exact: a constant sample can have std 1e-17
         raise ZeroVariance("sample has zero variance")
     y = np.concatenate([x, -x])
     n = y.size
@@ -303,7 +295,7 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     if sd <= 0 or iqr <= 0:
         raise ZeroVariance("sample has zero variance")
     scale = min(sd, iqr / 1.349)
-    h_silver = silverman_bandwidth(y)
+    h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)  # Silverman's rule
 
     cnt, delta = _pair_distance_counts(y, nbins)
     a = 0.920 * scale * n ** (-1.0 / 7.0)

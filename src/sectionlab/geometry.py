@@ -433,8 +433,7 @@ def validate_body(body: ConvexBody) -> None:
             raise InvalidBody("facet is not planar")
     if ((np.abs(heights) <= tol).sum(axis=1) < body.dim).any():
         raise InvalidBody("vertex set contains non-extreme points")
-    middles = np.array([v[list(facet)].mean(axis=0) for facet in body.facets])
-    if not (np.einsum("ij,ij->i", normals, middles - cen) > 0).all():
+    if not (offsets - normals @ cen > 0).all():
         raise InvalidBody("facet normal is not outward")
 
 
@@ -628,35 +627,24 @@ def _clip_half_plane(poly, a, b, rhs):
 
 
 def mean_width(body: ConvexBody) -> float:
-    """Average width over directions, by spherical quadrature.
+    """Average width over directions, in closed form.
 
-    2D uses the midpoint rule in angle over the upper half circle (the
-    integrand is periodic, so this is the composite trapezoid rule up to
-    phase); 3D uses a Gauss-Legendre x uniform-longitude product rule.
-    Both use about 200 000 nodes, where the relative error is below 1e-3
-    for every built-in body.
+    2r for a ball; the perimeter over pi for a polygon (Cauchy's formula);
+    sum_e l_e psi_e / (4 pi) over the edges of a 3D polytope, where psi_e
+    is the angle between the outward normals of the two facets at edge e.
     """
-    nodes = 200_000
-
-    def width_of(dirs):
-        if body.kind == "ball":
-            return np.full(dirs.shape[0], 2.0 * body.radius)
-        d = body.vertices @ dirs.T
-        return d.max(axis=0) - d.min(axis=0)
-
+    if body.kind == "ball":
+        return 2.0 * body.radius
+    edges, incidence = body._edge_incidence
+    v = body.vertices
+    lengths = np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)
     if body.dim == 2:
-        phi = (np.arange(nodes) + 0.5) * np.pi / nodes
-        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
-        return float(width_of(dirs).mean())
-    mt = int(math.sqrt(nodes / 2.0))
-    mphi = 2 * mt
-    t, wt = np.polynomial.legendre.leggauss(mt)
-    t = 0.5 * (t + 1.0)  # z = cos(omega) on [0, 1]
-    wt = 0.5 * wt
-    phi = (np.arange(mphi) + 0.5) * 2.0 * np.pi / mphi
-    zz = np.repeat(t, mphi)
-    pp = np.tile(phi, mt)
-    rxy = np.sqrt(np.maximum(1.0 - zz * zz, 0.0))
-    dirs = np.column_stack([rxy * np.cos(pp), rxy * np.sin(pp), zz])
-    w = width_of(dirs).reshape(mt, mphi).mean(axis=1)
-    return float(w @ wt)
+        return float(lengths.sum() / math.pi)
+    normals = body.facet_planes[0]
+    # the two facets of each edge: the nonzero rows of its incidence column
+    pair = np.nonzero(incidence.T)[1].reshape(-1, 2)
+    n1, n2 = normals[pair[:, 0]], normals[pair[:, 1]]
+    # arctan2 keeps small angles accurate, where arccos of the dot does not
+    psi = np.arctan2(np.linalg.norm(np.cross(n1, n2), axis=1),
+                     np.einsum("ij,ij->i", n1, n2))
+    return float(lengths @ psi / (4.0 * math.pi))

@@ -100,25 +100,12 @@ class PointMass:
         return np.full(size, self.location)
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    cdf_steps: StepCDF
-
-    def __post_init__(self):
-        if (self.cdf_steps.locations <= 0).any():
-            raise ZeroLocation("size atoms must be strictly positive")
-
-    def mean(self) -> float:
-        return float(self.cdf_steps.locations @ self.cdf_steps.weights)
-
-    def cdf(self, x):
-        return self.cdf_steps.evaluate(x)
-
-    def sample(self, size, generator):
-        return self.cdf_steps.sample(size, generator)
+SizeDistribution = Exponential | Gamma | PointMass | StepCDF
 
 
-SizeDistribution = Exponential | Gamma | PointMass | StepDistribution
+def _check_atoms(steps: StepCDF) -> None:
+    if (steps.locations <= 0).any():
+        raise ZeroLocation("size atoms must be strictly positive")
 
 
 def length_biased(h: SizeDistribution) -> SizeDistribution:
@@ -128,6 +115,8 @@ def length_biased(h: SizeDistribution) -> SizeDistribution:
     a point mass is unchanged, and step CDFs are reweighted by their atom
     locations.
     """
+    if isinstance(h, StepCDF):
+        _check_atoms(h)
     mean = h.mean()
     if not np.isfinite(mean) or mean <= 0:
         raise InfiniteMean("length biasing requires a finite positive mean")
@@ -137,10 +126,8 @@ def length_biased(h: SizeDistribution) -> SizeDistribution:
         return Gamma(h.shape + 1.0, h.rate)
     if isinstance(h, PointMass):
         return h
-    if isinstance(h, StepDistribution):
-        steps = h.cdf_steps
-        biased = steps.weights * steps.locations
-        return StepDistribution(StepCDF.from_atoms(steps.locations, biased))
+    if isinstance(h, StepCDF):
+        return StepCDF.from_atoms(h.locations, h.weights * h.locations)
     raise TypeError(f"unsupported size distribution {type(h).__name__}")
 
 
@@ -148,14 +135,9 @@ def unbias(hb: SizeDistribution) -> SizeDistribution:
     """Exact inverse of ``length_biased`` for atomic distributions."""
     if isinstance(hb, PointMass):
         return hb
-    if isinstance(hb, StepDistribution):
-        steps = hb.cdf_steps
-        if (steps.locations <= 0).any():
-            raise ZeroLocation("cannot unbias atoms at nonpositive sizes")
-        w = steps.weights / steps.locations
-        return StepDistribution(StepCDF.from_atoms(steps.locations, w))
     if isinstance(hb, StepCDF):
-        return unbias(StepDistribution(hb)).cdf_steps
+        _check_atoms(hb)
+        return StepCDF.from_atoms(hb.locations, hb.weights / hb.locations)
     raise TypeError("unbias is defined for step CDFs and point masses")
 
 

@@ -4,9 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from sectionlab.bodies_io import save_body
 from sectionlab.cli import main
-from sectionlab.geometry import builtin_body, scale_body
 from sectionlab.io import (
     load_sample_csv,
     load_sample_json,
@@ -70,9 +68,10 @@ class TestSampleCommand:
         assert result.exit_code == 3
 
     def test_shape_file_input(self, runner, tmp_path):
-        body = scale_body(builtin_body("cube"), 2.0)
+        corners = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
         shape_path = tmp_path / "bigcube.json"
-        save_body(body, shape_path)
+        with open(shape_path, "w") as fh:
+            json.dump({"kind": "polytope", "dim": 3, "vertices": corners}, fh)
         out = tmp_path / "s.csv"
         run_ok(runner, ["sample", "--shape", str(shape_path), "--n", "100",
                         "-o", str(out)])

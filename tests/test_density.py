@@ -14,7 +14,6 @@ from sectionlab.density import (
     reflection_kde,
     root_transform,
     sheather_jones_bandwidth,
-    silverman_bandwidth,
     untransform_density,
 )
 from sectionlab.errors import (
@@ -185,8 +184,11 @@ class TestBandwidths:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             sheather_jones_bandwidth(np.full(100, 1.5))
+
+    def test_zero_variance_despite_rounding(self):
+        # the mean of 1000 copies of 0.1 rounds, so their std is 1.4e-17
         with pytest.raises(ZeroVariance):
-            silverman_bandwidth(np.full(100, 1.5))
+            sheather_jones_bandwidth(np.full(1000, 0.1))
 
     def test_minimum_length(self):
         with pytest.raises(EmptySample):
@@ -200,7 +202,10 @@ class TestBandwidths:
         x = np.abs(gen.standard_normal(1000))
         h, method = de.sheather_jones_bandwidth(x)
         assert method == "silverman_fallback"
-        assert h == pytest.approx(de.silverman_bandwidth(np.concatenate([x, -x])))
+        y = np.concatenate([x, -x])
+        iqr = np.subtract(*np.percentile(y, [75, 25]))
+        silverman = 0.9 * min(y.std(), iqr / 1.34) * y.size ** (-0.2)
+        assert h == pytest.approx(silverman)
 
     def test_sj_method_flag(self):
         gen = np.random.default_rng(10)

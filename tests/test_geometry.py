@@ -211,6 +211,14 @@ class TestSectionVolume:
         assert section_volume(cube, plane) == pytest.approx(1.0, abs=1e-9)
         edge = Hyperplane(np.array([0.0, 1.0]), 0.5)
         assert section_volume(square, edge) == pytest.approx(1.0, abs=1e-9)
+        # with the normal pointing into the body the kernel gives 0, while
+        # the clipping reference still gives the facet's volume
+        inward = Hyperplane(np.array([0.0, 0.0, 1.0]), -0.5)
+        assert section_volume(cube, inward) == 0.0
+        assert section_volume_by_clipping(cube, inward) == 1.0
+        inward_edge = Hyperplane(np.array([0.0, 1.0]), -0.5)
+        assert section_volume(square, inward_edge) == 0.0
+        assert section_volume_by_clipping(square, inward_edge) == 1.0
 
     def test_vertex_touch_gives_zero(self, cube):
         theta = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
@@ -418,6 +426,38 @@ class TestMeanWidth:
 
     def test_cube_three_halves(self, cube):
         assert mean_width(cube) == pytest.approx(1.5, rel=1e-3)
+
+    def test_closed_forms(self, cube, square):
+        assert mean_width(cube) == pytest.approx(1.5, rel=1e-14)
+        disc = scale_body(builtin_body("ball", dim=2), 0.7)
+        assert mean_width(disc) == pytest.approx(1.4, rel=1e-14)
+        assert mean_width(square) == pytest.approx(4.0 / math.pi, rel=1e-14)
+        # 30 edges of length 2/phi, exterior dihedral angle arctan 2
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        exact = 15.0 * (2.0 / phi) * math.atan(2.0) / (2.0 * math.pi)
+        dodeca = builtin_body("dodecahedron")
+        assert mean_width(dodeca) == pytest.approx(exact, rel=1e-14)
+
+    def test_random_bodies_match_dense_average(self, random_hull20):
+        """Mean width against a dense average of the width over
+        quasi-uniform directions: a Fibonacci lattice on the sphere, the
+        midpoint rule in angle on the circle."""
+        gen = np.random.default_rng(31)
+        polygon = build_polytope(gen.standard_normal((10, 2)), label="poly10")
+        m = 200_000
+        i = np.arange(m) + 0.5
+        z = 1.0 - 2.0 * i / m
+        lon = math.pi * (1.0 + math.sqrt(5.0)) * i
+        r = np.sqrt(1.0 - z * z)
+        sphere = np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
+        angle = i * math.pi / m
+        circle = np.column_stack([np.cos(angle), np.sin(angle)])
+        for body, dirs in ((random_hull20, sphere), (polygon, circle)):
+            oracle = np.ptp(body.vertices @ dirs.T, axis=0).mean()
+            assert mean_width(body) == pytest.approx(oracle, rel=1e-5)
+            turned = rotate_body(body, random_rotation(body.dim, gen))
+            assert mean_width(turned) == pytest.approx(mean_width(body),
+                                                       rel=1e-12)
 
 
 class TestValidateBody:

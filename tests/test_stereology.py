@@ -12,7 +12,6 @@ from sectionlab.stereology import (
     Gamma,
     PointMass,
     ReferenceDensity,
-    StepDistribution,
     _mixture_kernel,
     _passive_solution,
     length_biased,
@@ -82,15 +81,14 @@ class TestLengthBiasing:
         assert length_biased(pm) is pm
 
     def test_step_reweighting(self):
-        step = StepDistribution(StepCDF.from_atoms([1.0, 2.0], [0.5, 0.5]))
+        step = StepCDF.from_atoms([1.0, 2.0], [0.5, 0.5])
         biased = length_biased(step)
-        assert np.allclose(biased.cdf_steps.weights, [1.0 / 3.0, 2.0 / 3.0])
+        assert np.allclose(biased.weights, [1.0 / 3.0, 2.0 / 3.0])
 
     def test_unbias_examples(self):
         assert unbias(PointMass(2.0)) == PointMass(2.0)
-        hb = StepDistribution(StepCDF.from_atoms([1.0, 2.0],
-                                                 [1.0 / 3.0, 2.0 / 3.0]))
-        assert np.allclose(unbias(hb).cdf_steps.weights, [0.5, 0.5])
+        hb = StepCDF.from_atoms([1.0, 2.0], [1.0 / 3.0, 2.0 / 3.0])
+        assert np.allclose(unbias(hb).weights, [0.5, 0.5])
 
     def test_unbias_roundtrip_random_steps(self):
         gen = np.random.default_rng(3)
@@ -99,10 +97,10 @@ class TestLengthBiasing:
             locations = np.sort(gen.uniform(0.1, 5.0, k))
             locations += np.arange(k) * 1e-6  # ensure strictly increasing
             weights = gen.dirichlet(np.ones(k))
-            original = StepDistribution(StepCDF.from_atoms(locations, weights))
+            original = StepCDF.from_atoms(locations, weights)
             back = unbias(length_biased(original))
-            assert np.allclose(back.cdf_steps.cumulative,
-                               original.cdf_steps.cumulative, atol=1e-12)
+            assert np.allclose(back.cumulative, original.cumulative,
+                               atol=1e-12)
 
     def test_unbias_rejects_zero_location(self):
         cdf = StepCDF(np.array([0.0, 1.0]), np.array([0.4, 1.0]))
@@ -110,7 +108,7 @@ class TestLengthBiasing:
             unbias(cdf)
 
     def test_biased_mean_is_second_moment_ratio(self):
-        step = StepDistribution(StepCDF.from_atoms([1.0, 3.0], [0.5, 0.5]))
+        step = StepCDF.from_atoms([1.0, 3.0], [0.5, 0.5])
         biased = length_biased(step)
         # E[X^2]/E[X] = (0.5 + 4.5) / 2
         assert biased.mean() == pytest.approx(2.5)
@@ -132,8 +130,8 @@ class TestSizeDistributions:
         with pytest.raises(ValueError):
             PointMass(-1.0)
         with pytest.raises(ZeroLocation):
-            StepDistribution(StepCDF(np.array([0.0, 1.0]),
-                                     np.array([0.5, 1.0])))
+            length_biased(StepCDF(np.array([0.0, 1.0]),
+                                  np.array([0.5, 1.0])))
 
 
 class TestProfileSampling:
