@@ -94,6 +94,8 @@ def _command(command):
         extra = {k: v for k, v in options.items() if k not in _CONFIG_FIELDS}
         config = RunConfig(command=command.__name__, extra=extra, **known)
         try:
+            if config.workers is None:
+                config.workers = int(os.environ.get("SECTION_LAB_WORKERS", 1))
             return command(config)
         except (SectionLabError, ValueError, OSError, ImportError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
@@ -133,14 +135,10 @@ def _sample(config: RunConfig) -> tuple[ConvexBody, SectionSample]:
                                      workers=config.workers)
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("SECTION_LAB_WORKERS", "1"))
-
-
 def _common_options(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Base seed of the random streams.")(fn)
-    fn = click.option("--workers", type=int, default=_default_workers,
+    fn = click.option("--workers", type=int, default=None,
                       help="Worker stream count (default from "
                            "SECTION_LAB_WORKERS, else 1).")(fn)
     fn = click.option("--normalize-volume", is_flag=True, default=False,
@@ -287,6 +285,8 @@ def unfold(config):
 @_command
 def validate(config):
     """Run oracle comparisons and invariance suites for a shape."""
+    if config.extra["trials"] < 1:
+        raise ValueError("--trials must be >= 1")
     results = run_shape_checks(_body(config), config.n, config.seed,
                                trials=config.extra["trials"],
                                workers=config.workers)

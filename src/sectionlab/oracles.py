@@ -1,8 +1,10 @@
 """Closed-form reference distributions used for validation.
 
-Only two exist in closed form at unit scale: the chord length density of
-the unit square, and the section-area law of the ball (for a fixed
-direction the offset is uniform, so the area CDF inverts analytically).
+Two exist in closed form: the chord length density of the unit square,
+and the section law of a ball of radius r.  For a fixed direction the
+offset s is uniform on (0, r), so the CDF inverts analytically: the
+disk's chord 2 sqrt(r^2 - s^2) has CDF 1 - sqrt(1 - (c / 2r)^2), and the
+3D ball's area pi (r^2 - s^2) has CDF 1 - sqrt(1 - a / (pi r^2)).
 Everything else is validated against brute-force geometric references or
 distributional invariances.
 """
@@ -36,18 +38,15 @@ def square_chord_density(z):
     return out if out.ndim else float(out)
 
 
-def ball_section_cdf(a, radius: float = 1.0):
-    """CDF of the section area of a ball of the given radius.
-
-    With the offset uniform on (0, r) and area pi (r^2 - s^2), inverting
-    gives P(A <= a) = 1 - sqrt(1 - a / (pi r^2)).
-    """
+def ball_section_cdf(a, radius: float = 1.0, dim: int = 3):
+    """CDF of the section volume of a ball of the given radius: the area
+    law in 3D, the chord law for ``dim=2`` (see the module docstring)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     a = np.asarray(a, dtype=float)
-    amax = math.pi * radius * radius
+    amax = 2.0 * radius if dim == 2 else math.pi * radius * radius
     if (a < 0).any() or (a > amax * (1.0 + 1e-12)).any():
-        raise OutOfSupport("section area must lie in [0, pi r^2]")
-    out = 1.0 - np.sqrt(np.maximum(1.0 - a / amax, 0.0))
+        raise OutOfSupport(f"section volume must lie in [0, {amax:.6g}]")
+    q = a / amax
+    out = 1.0 - np.sqrt(np.maximum(1.0 - (q * q if dim == 2 else q), 0.0))
     return out if out.ndim else float(out)
-

@@ -30,6 +30,7 @@ from .geometry import (
 )
 from .rng import RngStream
 from .sampling import (
+    SectionSample,
     acceptance_estimate,
     enclosing_radius,
     sample_directions,
@@ -89,28 +90,27 @@ def ks_vs_cdf(x, cdf) -> float:
 # Oracle comparisons
 
 
-def check_ball_section_law(n: int = 1_000_000, seed: int = 0,
-                           workers: int = 1) -> CheckResult:
-    """ECDF of ball section areas against the analytic area CDF."""
-    ball = builtin_body("ball")
-    sample = sample_iur_sections(ball, n, RngStream(seed), workers=workers)
-    stat = ks_vs_cdf(sample.values, oracles.ball_section_cdf)
+def check_ball_section_law(body: ConvexBody,
+                           sample: SectionSample) -> CheckResult:
+    """ECDF of a ball's section volumes against their analytic CDF."""
+    n = sample.values.size
+    stat = ks_vs_cdf(sample.values, lambda a: oracles.ball_section_cdf(
+        a, body.radius, body.dim))
     threshold = 5.0 / math.sqrt(n)
     return CheckResult("ball_section_law", stat <= threshold, stat, threshold,
                        f"n={n}")
 
 
-def check_square_chord_density(n: int = 1_000_000, seed: int = 0,
-                               workers: int = 1) -> CheckResult:
-    """KDE of square chord lengths against the closed-form density.
+def check_square_chord_density(body: ConvexBody,
+                               sample: SectionSample) -> CheckResult:
+    """KDE of a body's chord lengths against the unit square's density.
 
     The true density has an integrable singularity as the chord length
     decreases to the side length 1, which no fixed-bandwidth estimate can
     track pointwise; the asserted statistic therefore excludes the window
     |z - 1| <= 0.15 and the full-grid supremum is reported as detail.
     """
-    square = builtin_body("square")
-    sample = sample_iur_sections(square, n, RngStream(seed), workers=workers)
+    n = sample.values.size
     estimate = estimate_root_density(sample)
     grid = np.linspace(0.05, 1.35, 512)
     err = np.abs(estimate.evaluate(grid) - oracles.square_chord_density(grid))
@@ -123,10 +123,10 @@ def check_square_chord_density(n: int = 1_000_000, seed: int = 0,
     )
 
 
-def check_acceptance_rate(body: ConvexBody, n: int = 1_000_000,
-                          seed: int = 0, workers: int = 1) -> CheckResult:
+def check_acceptance_rate(body: ConvexBody,
+                          sample: SectionSample) -> CheckResult:
     """Acceptance frequency against mean width / (2 R)."""
-    sample = sample_iur_sections(body, n, RngStream(seed), workers=workers)
+    n = sample.values.size
     rate = acceptance_estimate(sample)
     expected = mean_width(body) / (2.0 * enclosing_radius(body))
     threshold = max(6.5 * math.sqrt(expected**2 * (1 - expected) / n), 1e-9)
@@ -180,44 +180,42 @@ def check_brunn_concavity(body: ConvexBody, seed: int = 0) -> CheckResult:
 # Invariance suites (distributional properties of the section law)
 
 
-# result name and the stream id of each transform's random draws
-_INVARIANCES = {"translation": ("translation_invariance", 0),
-                "rotation": ("rotation_invariance", 3),
-                "scaling": ("scaling_relation", 4)}
+def check_invariances(body: ConvexBody, n: int = 100_000,
+                      trials: int = INVARIANCE_TRIALS, seed: int = 0,
+                      workers: int = 1) -> list[CheckResult]:
+    """Two-sample KS of the body's section law against transformed copies.
 
-
-def check_invariance(kind: str, body: ConvexBody, n: int = 100_000,
-                     trials: int = INVARIANCE_TRIALS,
-                     seed: int = 0, workers: int = 1) -> CheckResult:
-    """Two-sample KS of the body's section law against a transformed copy.
-
-    ``kind`` is "translation", "rotation" or "scaling"; section volumes
-    of a copy scaled by lambda are divided by lambda^(dim-1) first.
+    Each trial draws one base sample of the body (stream ``(seed + t, 1)``)
+    and compares it with a translated, a rotated and a scaled copy, each
+    drawn from stream ``(seed + t, 2)``; section volumes of a copy scaled
+    by lambda are divided by lambda^(dim-1) first.  The transforms come
+    from streams 0, 3 and 4, in the order of the returned results.
     """
-    name, stream_id = _INVARIANCES[kind]
+    names = ("translation_invariance", "rotation_invariance",
+             "scaling_relation")
     limit = _ks_limit(n)
-    passes = 0
-    worst = 0.0
+    passes, worst = [0, 0, 0], [0.0, 0.0, 0.0]
     for t in range(trials):
-        gen = RngStream(seed, stream_id).derive(t).generator()
-        postscale = 1.0
-        if kind == "translation":
-            copy = translate_body(body, gen.uniform(-2.0, 2.0, body.dim))
-        elif kind == "rotation":
-            copy = rotate_body(body, random_rotation(body.dim, gen))
-        else:
-            lam = gen.uniform(0.5, 2.0)
-            copy, postscale = scale_body(body, lam), lam ** (body.dim - 1)
+        shift, turn, size = (RngStream(seed, stream_id).derive(t).generator()
+                             for stream_id in (0, 3, 4))
+        lam = size.uniform(0.5, 2.0)
+        copies = [
+            (translate_body(body, shift.uniform(-2.0, 2.0, body.dim)), 1.0),
+            (rotate_body(body, random_rotation(body.dim, turn)), 1.0),
+            (scale_body(body, lam), lam ** (body.dim - 1)),
+        ]
         base = sample_iur_sections(body, n, RngStream(seed + t, 1),
                                    workers=workers)
-        other = sample_iur_sections(copy, n, RngStream(seed + t, 2),
-                                    workers=workers)
-        stat = ks_two_sample(base.values, other.values / postscale)
-        worst = max(worst, stat)
-        passes += stat < limit
+        for i, (copy, postscale) in enumerate(copies):
+            other = sample_iur_sections(copy, n, RngStream(seed + t, 2),
+                                        workers=workers)
+            stat = ks_two_sample(base.values, other.values / postscale)
+            worst[i] = max(worst[i], stat)
+            passes[i] += stat < limit
     need = math.ceil(trials * INVARIANCE_MIN_PASSES / INVARIANCE_TRIALS)
-    return CheckResult(name, passes >= need, float(passes), float(need),
-                       f"worst KS={worst:.4g} limit={limit:.4g}")
+    return [CheckResult(name, p >= need, float(p), float(need),
+                        f"worst KS={w:.4g} limit={limit:.4g}")
+            for name, p, w in zip(names, passes, worst)]
 
 
 def check_inclusion_bound(n: int = 1_000_000, seed: int = 0,
@@ -251,19 +249,19 @@ def run_shape_checks(body: ConvexBody, n: int, seed: int,
                      trials: int = 5, workers: int = 1) -> list[CheckResult]:
     """Checks appropriate for one shape at the requested sample size.
 
-    Every section sample is drawn over ``workers`` streams.
+    The body's ``n`` sections are drawn from stream ``seed`` once and
+    shared by the checks that test its section law; every sample is
+    drawn over ``workers`` streams.  The square oracle applies to a body
+    labelled ``square``.
     """
-    results = []
+    sample = sample_iur_sections(body, n, RngStream(seed), workers=workers)
     if body.kind == "ball":
-        results.append(check_ball_section_law(n, seed, workers))
-        return results
+        return [check_ball_section_law(body, sample)]
+    results = []
     if body.label == "square":
-        results.append(check_square_chord_density(n, seed, workers))
-    results.append(check_acceptance_rate(body, n, seed, workers))
+        results.append(check_square_chord_density(body, sample))
+    results.append(check_acceptance_rate(body, sample))
     results.append(check_section_oracle(body, min(2000, n), seed))
     results.append(check_brunn_concavity(body, seed))
-    inv_n = min(n, 100_000)
-    for kind in ("translation", "rotation", "scaling"):
-        results.append(check_invariance(kind, body, inv_n, trials, seed,
-                                        workers))
+    results += check_invariances(body, min(n, 100_000), trials, seed, workers)
     return results

@@ -33,7 +33,7 @@ from sectionlab.stereology import (
 )
 from sectionlab.validation import (
     check_inclusion_bound,
-    check_invariance,
+    check_invariances,
     check_section_oracle,
     ks_vs_cdf,
 )
@@ -109,9 +109,7 @@ def test_criterion_4_invariance_suite():
     started = time.perf_counter()
     cube = builtin_body("cube")
     results = [
-        check_invariance("translation", cube, n=100_000, trials=20, seed=0),
-        check_invariance("rotation", cube, n=100_000, trials=20, seed=0),
-        check_invariance("scaling", cube, n=100_000, trials=20, seed=0),
+        *check_invariances(cube, n=100_000, trials=20, seed=0),
         check_inclusion_bound(n=1_000_000, seed=0, slack=0.01),
     ]
     elapsed = time.perf_counter() - started

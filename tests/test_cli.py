@@ -232,6 +232,46 @@ class TestValidateCommand:
         # every check samples over the worker streams
         assert outputs[0] != outputs[2]
 
+    def test_disk_file_gets_the_disk_law(self, runner, tmp_path):
+        disk = tmp_path / "disk.json"
+        disk.write_text('{"kind": "ball", "center": [0, 0], "radius": 1}')
+        result = run_ok(runner, ["validate", "--shape", str(disk),
+                                 "--n", "20000", "--seed", "6"])
+        from sectionlab.bodies_io import load_body
+        from sectionlab.sampling import sample_iur_sections
+        from sectionlab.validation import ks_vs_cdf
+
+        chords = sample_iur_sections(load_body(disk), 20000,
+                                     RngStream(6)).values
+        stat = ks_vs_cdf(chords, lambda c: 1.0 - (1.0 - c * c / 4.0) ** 0.5)
+        assert f"PASS ball_section_law: statistic={stat:.6g} " in result.output
+
+    def test_square_oracle_tests_the_validated_body(self, runner, tmp_path):
+        # a triangle labelled "square" by its file name
+        fake = tmp_path / "square.json"
+        fake.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+        result = runner.invoke(main, ["validate", "--shape", str(fake),
+                                      "--n", "50000", "--trials", "1"])
+        assert result.exit_code == 2, result.output
+        assert "FAIL square_chord_density" in result.output
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one(self, runner, trials):
+        result = runner.invoke(main, ["validate", "--shape", "cube",
+                                      "--n", "1000", "--trials", trials])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "PASS" not in result.output
+
+    def test_non_integer_workers_env(self, runner, monkeypatch):
+        monkeypatch.setenv("SECTION_LAB_WORKERS", "abc")
+        result = runner.invoke(main, ["validate", "--shape", "cube",
+                                      "--n", "1000", "--trials", "1"])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+
     def test_failing_check_exits_2(self, runner, monkeypatch):
         import sectionlab.cli as cli
         from sectionlab.validation import CheckResult

@@ -48,10 +48,14 @@ class TestBallSectionCdf:
     def test_endpoints(self):
         assert ball_section_cdf(0.0) == 0.0
         assert ball_section_cdf(math.pi) == pytest.approx(1.0)
+        assert ball_section_cdf(0.0, dim=2) == 0.0
+        assert ball_section_cdf(2.0, dim=2) == pytest.approx(1.0)
 
     def test_midpoint_inversion(self):
         # area = pi (1 - s^2) at s = 1/2 gives 3 pi / 4
         assert ball_section_cdf(0.75 * math.pi) == pytest.approx(0.5)
+        # disk: chord = 2 sqrt(1 - s^2) at s = 1/2 gives sqrt(3)
+        assert ball_section_cdf(math.sqrt(3.0), dim=2) == pytest.approx(0.5)
 
     def test_scaling_radius(self):
         assert ball_section_cdf(0.75 * math.pi * 4.0, radius=2.0) == (

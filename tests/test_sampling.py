@@ -236,10 +236,9 @@ class TestDistributionInvariances:
     """The section law is invariant to where and how the body sits."""
 
     def test_translation_rotation_scaling(self, cube):
-        from sectionlab.validation import check_invariance
+        from sectionlab.validation import check_invariances
 
-        for kind in ("translation", "rotation", "scaling"):
-            result = check_invariance(kind, cube, n=20_000, trials=4, seed=3)
+        for result in check_invariances(cube, n=20_000, trials=4, seed=3):
             assert result.passed, result.line()
 
     def test_inclusion_bound_small(self):

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import sectionlab.validation as validation
+from sectionlab.geometry import builtin_body
+from sectionlab.rng import RngStream
+from sectionlab.sampling import sample_iur_sections
 from sectionlab.validation import (
     check_ball_section_law,
     check_brunn_concavity,
@@ -9,6 +13,7 @@ from sectionlab.validation import (
     check_section_oracle,
     ks_two_sample,
     ks_vs_cdf,
+    run_shape_checks,
 )
 
 
@@ -35,7 +40,9 @@ class TestKsHelpers:
 
 class TestChecks:
     def test_ball_law_small(self):
-        result = check_ball_section_law(n=100_000, seed=0)
+        ball = builtin_body("ball")
+        sample = sample_iur_sections(ball, 100_000, RngStream(0))
+        result = check_ball_section_law(ball, sample)
         assert result.passed, result.line()
 
     def test_brunn(self, dodecahedron):
@@ -51,7 +58,30 @@ class TestChecks:
         assert result.passed, result.line()
 
     def test_line_format(self):
-        result = check_ball_section_law(n=10_000, seed=0)
+        ball = builtin_body("ball")
+        sample = sample_iur_sections(ball, 10_000, RngStream(0))
+        result = check_ball_section_law(ball, sample)
         line = result.line()
         assert line.startswith(("PASS", "FAIL"))
         assert "statistic=" in line
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    def test_each_stream_drawn_once(self, monkeypatch, shape):
+        """One sample of the body's n sections, one base sample per trial
+        and one per transformed copy: no (body, stream) pair twice."""
+        calls = []
+
+        def spy(body, n, rng, workers=1):
+            calls.append((body, rng))
+            return sample_iur_sections(body, n, rng, workers=workers)
+
+        monkeypatch.setattr(validation, "sample_iur_sections", spy)
+        trials = 2
+        results = run_shape_checks(builtin_body(shape), 20_000, 4,
+                                   trials=trials)
+        assert all(r.passed for r in results), [r.line() for r in results]
+        keys = [(id(body), rng) for body, rng in calls]  # bodies held alive
+        assert len(set(keys)) == len(keys)
+        assert len(calls) == 1 + 4 * trials
