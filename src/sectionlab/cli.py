@@ -65,7 +65,7 @@ class RunConfig:
     n: int = 1_000_000
     seed: int = 0
     output: str = ""
-    grid_points: int = 512
+    grid_points: int | None = None
     bandwidth: float | None = None
     scale: str = "root"
     workers: int = 1
@@ -95,13 +95,23 @@ def _command(command):
         config = RunConfig(command=command.__name__, extra=extra, **known)
         try:
             if config.workers is None:
-                config.workers = int(os.environ.get("SECTION_LAB_WORKERS", 1))
+                config.workers = _workers_from_env()
             return command(config)
         except (SectionLabError, ValueError, OSError, ImportError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
             click.echo(json.dumps(payload, sort_keys=True), err=True)
             sys.exit(EXIT_INPUT)
     return run
+
+
+def _workers_from_env() -> int:
+    """``SECTION_LAB_WORKERS`` as an integer, 1 when it is unset."""
+    raw = os.environ.get("SECTION_LAB_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("SECTION_LAB_WORKERS must be an integer, got "
+                         f"{raw!r}") from None
 
 
 def resolve_shape(shape: str, normalize_volume: bool) -> ConvexBody:
@@ -175,7 +185,9 @@ def sample(config):
 @click.option("--n", type=int, default=1_000_000, show_default=True)
 @click.option("--output", "-o", required=True, type=click.Path(),
               help="Output CSV; a .json metadata sidecar is written too.")
-@click.option("--grid-points", type=int, default=512, show_default=True)
+@click.option("--grid-points", type=int, default=None,
+              help="Grid point count (default: points at most h/2 apart, "
+                   "h the bandwidth).")
 @click.option("--bandwidth", type=float, default=None,
               help="Fixed bandwidth (default: Sheather-Jones).")
 @click.option("--scale", type=click.Choice(["root", "volume", "both"]),
@@ -184,7 +196,7 @@ def sample(config):
 @_command
 def density(config):
     """Estimate the section volume density of a shape."""
-    if config.grid_points < 16:
+    if config.grid_points is not None and config.grid_points < 16:
         raise ValueError("--grid-points must be >= 16")
     body, result = _sample(config)
     estimate = estimate_root_density(result, grid_points=config.grid_points,

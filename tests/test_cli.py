@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -115,6 +116,18 @@ class TestDensityCommand:
         meta = json.loads((tmp_path / "g.meta.json").read_text())
         assert meta["bandwidth"] == 0.05
         assert meta["bandwidth_method"] == "fixed"
+
+    def test_default_grid_spacing_is_half_the_bandwidth(self, runner,
+                                                         tmp_path):
+        out = tmp_path / "g.csv"
+        run_ok(runner, ["density", "--shape", "square", "--n", "20000",
+                        "--seed", "3", "-o", str(out)])
+        header, rows = read_csv(out, 2, "grid,value")
+        meta = json.loads((tmp_path / "g.meta.json").read_text())
+        assert meta["config"]["grid_points"] is None
+        assert np.diff(rows[:, 0]).max() <= meta["bandwidth"] / 2
+        assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(
+            1.0, abs=1e-6)
 
     def test_grid_floor(self, runner, tmp_path):
         result = runner.invoke(main, ["density", "--shape", "cube",
@@ -271,6 +284,7 @@ class TestValidateCommand:
         assert result.exit_code == 3, result.output
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+        assert "SECTION_LAB_WORKERS" in payload["message"]
 
     def test_failing_check_exits_2(self, runner, monkeypatch):
         import sectionlab.cli as cli
@@ -300,6 +314,17 @@ class TestUnfold2d:
                         "-o", str(out), "--max-iter", "500"])
         fitted = load_step_cdf_csv(out)
         assert fitted.locations.min() > 0
+
+    def test_square_at_default_reference_and_grid(self, runner, tmp_path,
+                                                  square):
+        s = sample_profile_sizes(square, Exponential(1.0), 300, RngStream(34))
+        obs = tmp_path / "chords.csv"
+        obs.write_text("\n".join(repr(float(v)) for v in s) + "\n")
+        out = tmp_path / "hb.csv"
+        run_ok(runner, ["unfold", "--observations", str(obs), "--shape",
+                        "square", "-o", str(out)])
+        report = json.loads((tmp_path / "hb.report.json").read_text())
+        assert report["converged"] is True
 
 
 NO_SCIPY_SCRIPT = r"""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from sectionlab import density
 from sectionlab.density import (
     DensityEstimate,
     StepCDF,
@@ -154,6 +155,71 @@ class TestReflectionKde:
             reflection_kde(np.array([-1.0]), 0.1, np.array([0.0]))
         with pytest.raises(ValueError):
             reflection_kde(np.array([1.0]), 0.1, np.array([-0.5]))
+
+
+def exact_reflection_kde(x, h, grid):
+    """Reflection KDE summed over every sample point, never binned."""
+    xs = np.sort(x)
+    ones = np.ones(xs.size)
+    sums = (density._window_sums(xs, ones, grid, h)
+            + density._window_sums(xs, ones, -grid, h))
+    return sums / (x.size * h * SQRT2PI)
+
+
+class TestBinnedKde:
+    @pytest.mark.parametrize("source", ["square", "gamma", "atom"])
+    def test_error_against_exact_sum_is_bounded(self, source):
+        if source == "atom":
+            # one point repeated, 0.3 of a lattice step past a node: the
+            # worst case of the per-point bound, which smooth samples
+            # average away
+            h = 0.05
+            x = np.full(1000, 200.3 * h / density._BINS_PER_H)
+            grid = np.linspace(0.0, 0.5, 501)
+        else:
+            if source == "square":
+                x = root_transform(sample_iur_sections(
+                    builtin_body("square"), 1_000_000, RngStream(40)))
+            else:
+                x = np.random.default_rng(41).gamma(3.0, 1.0, 200_000)
+            h, _ = sheather_jones_bandwidth(x)
+            grid = default_grid(x, h, grid_points=512)
+        exact = exact_reflection_kde(x, h, grid)
+        diff = np.abs(reflection_kde(x, h, grid).values - exact).max()
+        delta = h / density._BINS_PER_H
+        # the sample is binned, not summed point by point
+        assert 2 * math.floor(x.max() / delta) + 3 < 2 * x.size
+        assert diff <= (delta / h) ** 2 * exact.max()
+        # a priori: phi(0) / (8 * 32^2 * h) per kernel, two kernels a point
+        assert diff <= 2.0 / (SQRT2PI * 8 * density._BINS_PER_H ** 2 * h)
+
+    def test_identity_when_only_the_mirror_outgrows_the_lattice(self):
+        gen = np.random.default_rng(42)
+        x = gen.uniform(0.0, 1.0, 1500)
+        x[0] = 1.0
+        h = 0.032
+        lattice = 2 * (int(1.0 / (h / density._BINS_PER_H)) + 1) + 1
+        # the sample alone would be summed exactly, its mirror is binned
+        assert x.size < lattice <= 2 * x.size
+        grid = np.linspace(0.0, 1.2, 301)
+        est = reflection_kde(x, h, grid)
+        doubled = 2.0 * classical_kde(np.concatenate([x, -x]), h, grid)
+        assert np.abs(est.values - doubled).max() < 1e-12
+
+    def test_nodes_of_the_mirror_are_the_mirrored_nodes(self):
+        x = np.random.default_rng(43).gamma(2.0, 1.0, 100_000)
+        nodes, weights = density._kde_nodes(x, 0.05, x.size)
+        assert nodes.size < x.size
+        assert weights.sum() == pytest.approx(x.size, rel=1e-12)
+        mirror_nodes, mirror_weights = density._kde_nodes(-x, 0.05, x.size)
+        assert np.array_equal(mirror_nodes, -nodes[::-1])
+        assert np.array_equal(mirror_weights, weights[::-1])
+
+    def test_rejects_non_finite_data(self):
+        with pytest.raises(ValueError):
+            reflection_kde(np.array([1.0, np.inf]), 0.1, np.array([0.0]))
+        with pytest.raises(ValueError):
+            classical_kde(np.array([1.0, np.nan]), 0.1, np.array([0.0]))
 
 
 class TestBandwidths:
@@ -325,6 +391,20 @@ class TestPipeline:
         assert grid[-1] == pytest.approx(2.4)
         with pytest.raises(ValueError):
             default_grid(np.array([1.0]), 0.1, grid_points=8)
+
+    def test_default_grid_spacing_follows_the_bandwidth(self):
+        h = 0.0123
+        grid = default_grid(np.array([1.0, 2.0]), h=h)
+        assert grid[-1] == pytest.approx(2.0 + 4 * h)
+        assert grid.size == math.ceil((2.0 + 4 * h) / (h / 2)) + 1 == 335
+        assert np.diff(grid).max() <= h / 2
+        assert default_grid(np.array([0.0]), h=1.0).size == 16
+        assert default_grid(np.array([1.0]), h=1e-9).size == 1 << 16
+
+    def test_default_grid_integrates_square_density_to_one(self, square):
+        sample = sample_iur_sections(square, 1_000_000, RngStream(23))
+        assert estimate_root_density(sample).integral() == pytest.approx(
+            1.0, abs=1e-6)
 
     def test_consistency_doubling_n(self):
         """Doubling the sample shrinks the integrated squared error."""
