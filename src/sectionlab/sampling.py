@@ -6,9 +6,9 @@ direction is drawn uniformly on the sphere and an offset uniformly on
 (0, R); proposals whose plane misses the body are rejected.  Accepted
 section volumes are distributed like the volume of an IUR section.
 
-Proposals are sharded over ``workers`` independent substreams, run in
-parallel processes and merged in stream order, so results are
-reproducible for a fixed worker count regardless of execution schedule.
+Proposals are sharded over ``workers`` independent substreams, each run
+in a thread that fills its own slice of one array in stream order, so
+results are reproducible for a fixed worker count regardless of schedule.
 Each proposal consumes exactly ``dim`` uniforms from its stream, which
 makes the draws independent of the internal batch size.
 """
@@ -87,11 +87,11 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     """Exactly ``size`` i.i.d. IUR section volumes of ``body``.
 
     The body is recentered at its centroid and enclosed in the smallest
-    centroid-centered sphere before rejection sampling.  Worker ``w``
-    draws its quota from substream ``rng.derive(w)``; accepted values are
-    concatenated in worker order.  The shards run in a pool of forked
-    processes, at most one per usable core, so the values depend on
-    ``workers`` but not on the core count.
+    centroid-centered sphere before rejection sampling.  The values form
+    ``min(workers, size)`` slices, the first ``size % workers`` one longer
+    than the rest; slice ``w`` is drawn from substream ``rng.derive(w)``.
+    The shards run in a pool of threads, at most one per usable core, so
+    the values depend on ``workers`` but not on the core count.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -101,25 +101,24 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     centered = translate_body(body, -body.centroid)
     radius = enclosing_radius(centered)
 
-    quotas = [size // workers + (1 if w < size % workers else 0)
-              for w in range(workers)]
-    shards = [(centered, radius, quota, rng.derive(w))
-              for w, quota in enumerate(quotas) if quota]
-    processes = min(len(shards), len(os.sched_getaffinity(0)))
-    if processes == 1:
-        results = [_worker_draws(*shard) for shard in shards]
+    values = np.empty(size)
+    shards = min(workers, size)
+    args = ([centered] * shards, [radius] * shards,
+            np.array_split(values, shards),  # views, longest first
+            [rng.derive(w) for w in range(shards)])
+    threads = min(shards, len(os.sched_getaffinity(0)))
+    if threads == 1:
+        proposals = list(map(_worker_draws, *args))
     else:
-        # imported here: about 20 ms at start-up that serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+        # imported here: about 10 ms at start-up that serial runs never need.
+        # Threads racing to fill the body's lazy caches compute equal arrays.
+        from concurrent.futures import ThreadPoolExecutor
 
-        # map yields in shard order, so the merge ignores the schedule
-        with ProcessPoolExecutor(processes,
-                                 mp_context=get_context("fork")) as pool:
-            results = list(pool.map(_worker_draws, *zip(*shards)))
+        with ThreadPoolExecutor(threads) as pool:
+            proposals = list(pool.map(_worker_draws, *args))
     return SectionSample(
-        values=np.concatenate([vals for vals, _ in results]),
-        n_proposed=sum(nprop for _, nprop in results),
+        values=values,
+        n_proposed=sum(proposals),
         n_accepted=size,
         seed=rng.seed,
         body_label=body.label,
@@ -128,11 +127,12 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     )
 
 
-def _worker_draws(body, radius, quota, stream):
+def _worker_draws(body, radius, out, stream) -> int:
+    """Fill ``out`` with accepted section volumes; return the proposals."""
     gen = stream.generator()
     dim = body.dim
+    quota = len(out)
     got, nprop = 0, 0
-    parts = []
     while got < quota:
         u = gen.random((_BATCH, dim))
         thetas = _directions_from_uniforms(u)
@@ -153,11 +153,10 @@ def _worker_draws(body, radius, quota, stream):
             nprop += last + 1
         else:
             nprop += _BATCH
-        idx = np.nonzero(hits)[0]
-        if idx.size:
-            parts.append(section_volumes(body, thetas[idx], offsets[idx]))
-            got += idx.size
-    return np.concatenate(parts), nprop
+        i = np.nonzero(hits)[0]
+        out[got:got + i.size] = section_volumes(body, thetas[i], offsets[i])
+        got += i.size
+    return nprop
 
 
 def acceptance_estimate(sample: SectionSample) -> float:

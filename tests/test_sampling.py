@@ -104,25 +104,56 @@ class TestIurSampling:
                                              workers):
         import concurrent.futures
         import os
+        import sys
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = sample_iur_sections(dodecahedron, 3000, RngStream(8),
                                      workers=workers)
         pools = []
-        real_pool = concurrent.futures.ProcessPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers, **kwargs):
             pools.append(max_workers)
             return real_pool(max_workers, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             recording_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        pooled = sample_iur_sections(dodecahedron, 3000, RngStream(8),
-                                     workers=workers)
-        assert pools == [2]  # one process per usable core, not per worker
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pooled = sample_iur_sections(dodecahedron, 3000, RngStream(8),
+                                         workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [2]  # one thread per usable core, not per worker
         assert np.array_equal(pooled.values, serial.values)
         assert pooled.n_proposed == serial.n_proposed
+
+    def test_extra_sections_go_to_the_first_shards(self, cube):
+        # 10 sections over 3 workers: slices of 4, 3 and 3 sections, drawn
+        # from substreams 0, 1 and 2 and laid out in that order
+        from sectionlab.geometry import translate_body
+        from sectionlab.sampling import _worker_draws
+
+        centered = translate_body(cube, -cube.centroid)
+        radius = enclosing_radius(centered)
+        slices, proposals = [], 0
+        for w, quota in enumerate((4, 3, 3)):
+            out = np.empty(quota)
+            proposals += _worker_draws(centered, radius, out,
+                                       RngStream(5).derive(w))
+            slices.append(out)
+        sample = sample_iur_sections(cube, 10, RngStream(5), workers=3)
+        assert np.array_equal(sample.values, np.concatenate(slices))
+        assert sample.n_proposed == proposals
+
+    def test_more_workers_than_sections(self, cube):
+        # only the non-empty shards are built, one per section
+        many = sample_iur_sections(cube, 5, RngStream(4), workers=10**6)
+        five = sample_iur_sections(cube, 5, RngStream(4), workers=5)
+        assert np.array_equal(many.values, five.values)
+        assert many.n_proposed == five.n_proposed
 
     def test_recentering_matches_centered_body(self, cube):
         # recentering at the centroid makes position irrelevant (up to
