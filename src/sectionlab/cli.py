@@ -86,7 +86,8 @@ def _command(command):
 
     Options named like a RunConfig field fill it; the others go to
     ``extra``.  Bad input is reported as one JSON line on stderr, exit 3;
-    so is a missing scipy, which body files and ``polygon<k>`` need.
+    so is a missing scipy, which body files and ``polygon<k>`` need, and
+    a size too large to allocate.
     """
     @functools.wraps(command)
     def run(**options):
@@ -97,7 +98,8 @@ def _command(command):
             if config.workers is None:
                 config.workers = _workers_from_env()
             return command(config)
-        except (SectionLabError, ValueError, OSError, ImportError) as exc:
+        except (SectionLabError, ValueError, OSError, ImportError,
+                MemoryError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
             click.echo(json.dumps(payload, sort_keys=True), err=True)
             sys.exit(EXIT_INPUT)

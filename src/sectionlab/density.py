@@ -5,7 +5,10 @@ their density with a boundary-corrected Gaussian KDE that mirrors every
 kernel term across 0 (the reflection method, so no mass is placed below
 zero), pick the bandwidth with the Sheather-Jones solve-the-equation
 plug-in applied to the mirrored sample of size 2N, and if the volume
-scale is wanted, change variables back pointwise.
+scale is wanted, change variables back pointwise.  Neither step builds
+the mirror: the plug-in takes the mirror's quartiles, standard deviation
+and binned pair counts from the sample itself, and the KDE adds each
+node's kernel at z and at -z.
 
 Each grid point's kernel sum runs only over a window of 40 bandwidths,
 beyond which every term underflows to 0.0.  Small samples are summed
@@ -33,7 +36,7 @@ from .sampling import SectionSample
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_REACH = 40.0  # kernel underflows to exactly 0.0 beyond ~38.6 h
 _BINS_PER_H = 32  # the binned KDE's lattice spacing is h / 32
-_BIN_CHUNK = 1 << 16  # points linearly binned per np.bincount call
+_BIN_CHUNK = 1 << 16  # points binned per np.bincount call
 _MAX_GRID_POINTS = 1 << 16  # cap on the default grid's point count
 
 ROOT_SCALE = "root_scale"
@@ -292,19 +295,56 @@ def default_grid(x, h: float, grid_points: int | None = None) -> np.ndarray:
 # Bandwidth selection
 
 
-def _pair_distance_counts(y: np.ndarray, nbins: int):
-    """Binned counts of unordered pair distances, as used by the plug-in.
+def _mirror_quartiles(x: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(np.concatenate([x, -x]), [75, 25])``, bit for bit,
+    from ``x`` alone.
+
+    Sorted, the mirror is y[k] = -xs[N-1-k] for k < N and xs[k-N]
+    otherwise, with xs the sorted sample.  ``buf`` receives a copy of x,
+    partitioned at the four order statistics that numpy's linear method
+    interpolates between, which it then combines with numpy's formula.
+    """
+    n = x.size
+    ranks = []
+    for q in (0.75, 0.25):
+        virtual = (2 * n - 1) * q  # exact, as numpy computes it
+        k = math.floor(virtual)
+        ranks.append((k, k + 1, virtual - k))
+    np.copyto(buf, x)
+    buf.partition(sorted({k - n if k >= n else n - 1 - k
+                          for k0, k1, _ in ranks for k in (k0, k1)}))
+
+    def order_statistic(k):
+        return float(buf[k - n]) if k >= n else -float(buf[n - 1 - k])
+
+    quartiles = []
+    for k0, k1, t in ranks:
+        a, b = order_statistic(k0), order_statistic(k1)
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return quartiles[0], quartiles[1]
+
+
+def _pair_distance_counts(x: np.ndarray, nbins: int):
+    """Binned counts of unordered pair distances in the mirrored sample
+    {x_i} U {-x_i}, as used by the plug-in.
 
     Returns (counts, delta) where counts[k] is the number of unordered
-    pairs whose binned distance is k * delta.
+    pairs whose binned distance is k * delta.  The mirror's range is
+    [-m, m] with m = max|x|; x and -x are binned chunk by chunk with the
+    float operations that binning the built mirror would perform.
     """
-    lo, hi = y.min(), y.max()
+    hi = max(x.max(), -x.min())
+    lo = -hi
     delta = (hi - lo) / nbins
-    idx = np.minimum(((y - lo) / delta).astype(np.intp), nbins - 1)
-    w = np.bincount(idx, minlength=nbins).astype(float)
-    ac = np.correlate(w, w, mode="full")[nbins - 1:]
-    cnt = ac.copy()
-    cnt[0] = (ac[0] - y.size) / 2.0
+    w = np.zeros(nbins, dtype=np.intp)
+    for start in range(0, x.size, _BIN_CHUNK):
+        chunk = x[start:start + _BIN_CHUNK]
+        for half in (chunk, -chunk):
+            idx = np.minimum(((half - lo) / delta).astype(np.intp), nbins - 1)
+            w += np.bincount(idx, minlength=nbins)
+    w = w.astype(float)
+    cnt = np.correlate(w, w, mode="full")[nbins - 1:]
+    cnt[0] = (cnt[0] - 2 * x.size) / 2.0
     return cnt, delta
 
 
@@ -335,7 +375,10 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
 
     The input is the nonnegative (root-scale) sample; selection runs on
     {x_i} U {-x_i} so the returned bandwidth is the one to feed directly
-    into ``reflection_kde``.  The plug-in equation
+    into ``reflection_kde``.  The mirror is never built: its quartiles,
+    standard deviation (its mean is 0, so sqrt(mean(x^2))) and binned
+    pair counts all come from x, and beyond x the solve holds one N-float
+    scratch buffer.  The plug-in equation
     ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by bisection on
     [h_silverman / 100, 100 * h_silverman] to 1e-8 relative tolerance;
     when the equation has no root there, Silverman's rule on the mirrored
@@ -347,17 +390,18 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
         raise EmptySample("bandwidth selection needs at least 16 points")
     if np.ptp(x) == 0:  # exact: a constant sample can have std 1e-17
         raise ZeroVariance("sample has zero variance")
-    y = np.concatenate([x, -x])
-    n = y.size
-    sd = y.std()
-    q75, q25 = np.percentile(y, [75, 25])
+    n = 2 * x.size  # the mirror's size
+    buf = np.empty_like(x)
+    q75, q25 = _mirror_quartiles(x, buf)
+    sd = math.sqrt(float(np.square(x, out=buf).sum()) / x.size)
+    del buf
     iqr = q75 - q25
     if sd <= 0 or iqr <= 0:
         raise ZeroVariance("sample has zero variance")
     scale = min(sd, iqr / 1.349)
     h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)  # Silverman's rule
 
-    cnt, delta = _pair_distance_counts(y, nbins)
+    cnt, delta = _pair_distance_counts(x, nbins)
     a = 0.920 * scale * n ** (-1.0 / 7.0)
     b = 0.912 * scale * n ** (-1.0 / 9.0)
     sda = _binned_functional(cnt, delta, n, a, _hermite4, 5)

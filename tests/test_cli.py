@@ -68,6 +68,23 @@ class TestSampleCommand:
                                       "-o", str(tmp_path / "x.csv")])
         assert result.exit_code == 3
 
+    def test_unallocatable_n_exits_3(self, runner, tmp_path, monkeypatch):
+        import sectionlab.cli as cli
+
+        def too_large(body, size, stream, workers=1):
+            raise MemoryError(f"Unable to allocate {8 * size} bytes")
+
+        monkeypatch.setattr(cli, "sample_iur_sections", too_large)
+        result = runner.invoke(main, ["sample", "--shape", "cube", "--n",
+                                      "1000000000000",
+                                      "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 3, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MemoryError"
+        assert "8000000000000 bytes" in payload["message"]
+
     def test_shape_file_input(self, runner, tmp_path):
         corners = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
         shape_path = tmp_path / "bigcube.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,74 @@ def sj_direct_reference(x):
     h_silver = 0.9 * min(sd, (q75 - q25) / 1.34) * n ** (-0.2)
     return scipy.optimize.brentq(gap, h_silver / 100, h_silver * 100,
                                  xtol=1e-12)
+
+
+def mirrored_pair_distance_counts(y, nbins):
+    """Pair counts binned on the built mirror ``y``: the plug-in's
+    original, reference implementation."""
+    lo, hi = y.min(), y.max()
+    delta = (hi - lo) / nbins
+    idx = np.minimum(((y - lo) / delta).astype(np.intp), nbins - 1)
+    w = np.bincount(idx, minlength=nbins).astype(float)
+    ac = np.correlate(w, w, mode="full")[nbins - 1:]
+    cnt = ac.copy()
+    cnt[0] = (ac[0] - y.size) / 2.0
+    return cnt, delta
+
+
+def mirrored_sj_reference(x, nbins=1000):
+    """The binned plug-in run on the built mirror {x_i} U {-x_i}, with the
+    mirror's own std, percentiles and pair counts: what
+    ``sheather_jones_bandwidth`` computes from x alone."""
+    y = np.concatenate([x, -x])
+    n = y.size
+    sd = y.std()
+    q75, q25 = np.percentile(y, [75, 25])
+    iqr = q75 - q25
+    scale = min(sd, iqr / 1.349)
+    h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)
+    cnt, delta = mirrored_pair_distance_counts(y, nbins)
+    functional = density._binned_functional  # looked up at call time
+    a = 0.920 * scale * n ** (-1.0 / 7.0)
+    b = 0.912 * scale * n ** (-1.0 / 9.0)
+    sda = functional(cnt, delta, n, a, density._hermite4, 5)
+    tdb = -functional(cnt, delta, n, b, density._hermite6, 7)
+    if not (sda > 0 and tdb > 0):
+        return h_silver, "silverman_fallback"
+    c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
+    alpha_const = 1.357 * (sda / tdb) ** (1.0 / 7.0)
+
+    def fixed_point_gap(h):
+        s = functional(cnt, delta, n, alpha_const * h ** (5.0 / 7.0),
+                       density._hermite4, 5)
+        return np.nan if s <= 0 else (c1 / s) ** 0.2 - h
+
+    lo, hi = h_silver / 100.0, h_silver * 100.0
+    flo, fhi = fixed_point_gap(lo), fixed_point_gap(hi)
+    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
+        return h_silver, "silverman_fallback"
+    while (hi - lo) > 1e-8 * hi:
+        mid = 0.5 * (lo + hi)
+        fmid = fixed_point_gap(mid)
+        if not np.isfinite(fmid):
+            return h_silver, "silverman_fallback"
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), "sheather_jones"
+
+
+def sj_samples(size):
+    """The samples the mirror-free plug-in is checked on, by name."""
+    gen = np.random.default_rng(size)
+    square = sample_iur_sections(builtin_body("square"), size, RngStream(50))
+    return {
+        "uniform": gen.uniform(0.0, 1.0, size),
+        "gamma": gen.gamma(2.0, 1.0, size),
+        "square_root": root_transform(square),
+        "tied_integers": gen.integers(0, 6, size).astype(float),
+    }
 
 
 class TestRootTransform:
@@ -272,12 +341,64 @@ class TestBandwidths:
         iqr = np.subtract(*np.percentile(y, [75, 25]))
         silverman = 0.9 * min(y.std(), iqr / 1.34) * y.size ** (-0.2)
         assert h == pytest.approx(silverman)
+        assert (h, method) == mirrored_sj_reference(x)
 
     def test_sj_method_flag(self):
         gen = np.random.default_rng(10)
         x = np.abs(gen.standard_normal(1000))
         _, method = sheather_jones_bandwidth(x)
         assert method == "sheather_jones"
+
+    def test_quartiles_of_the_mirror_from_the_sample(self):
+        for size in [*range(16, 401), 100_003]:
+            gen = np.random.default_rng(size)
+            for x in (gen.gamma(2.0, 1.0, size),
+                      gen.integers(0, 4, size).astype(float)):
+                mirror = np.concatenate([x, -x])
+                expected = tuple(np.percentile(mirror, [75, 25]))
+                got = density._mirror_quartiles(x, np.empty_like(x))
+                assert got == expected, size
+
+    @pytest.mark.parametrize("size", [17, 72, 1001, (1 << 16) + 8])
+    def test_pair_counts_of_the_mirror_from_the_sample(self, size):
+        # chunked binning of x and -x counts what binning the mirror
+        # counts, chunk boundary included, for every size
+        for x in sj_samples(size).values():
+            cnt, delta = density._pair_distance_counts(x, 1000)
+            ref_cnt, ref_delta = mirrored_pair_distance_counts(
+                np.concatenate([x, -x]), 1000)
+            assert delta == ref_delta
+            assert np.array_equal(cnt, ref_cnt)
+
+    @pytest.mark.parametrize("size", [72, 1000, 4096, (1 << 16) + 8])
+    def test_bit_identical_to_the_mirror_when_size_is_a_multiple_of_8(
+            self, size):
+        # numpy's pairwise sum splits the 2N mirror at N when N % 8 == 0
+        # and 2N > 128, so its mean is exactly 0 and its std that of x
+        for name, x in sj_samples(size).items():
+            assert sheather_jones_bandwidth(x) == mirrored_sj_reference(x), \
+                name
+
+    @pytest.mark.parametrize("size", [16, 41, 999, 4099, 100_003])
+    def test_within_the_bisection_tolerance_of_the_mirror(self, size):
+        # elsewhere the mirror's std may differ from sqrt(mean(x^2)) in
+        # its last bit
+        for name, x in sj_samples(size).items():
+            h, method = sheather_jones_bandwidth(x)
+            ref_h, ref_method = mirrored_sj_reference(x)
+            assert method == ref_method, name
+            assert abs(h - ref_h) <= 1e-8 * ref_h, name
+
+    def test_memory_is_one_scratch_copy_of_the_sample(self):
+        x = np.random.default_rng(12).gamma(2.0, 1.0, 1_000_000)
+        sheather_jones_bandwidth(x[:1000])  # first-call allocations
+        tracemalloc.start()
+        try:
+            sheather_jones_bandwidth(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
 
 
 class TestUntransform:
