@@ -140,11 +140,10 @@ def _body(config: RunConfig) -> ConvexBody:
     return resolve_shape(config.shape, config.normalize_volume)
 
 
-def _sample(config: RunConfig) -> tuple[ConvexBody, SectionSample]:
-    """The resolved shape and ``--n`` sections drawn from ``--seed``."""
-    body = _body(config)
-    return body, sample_iur_sections(body, config.n, RngStream(config.seed),
-                                     workers=config.workers)
+def _sample(body: ConvexBody, config: RunConfig) -> SectionSample:
+    """``--n`` sections of ``body`` drawn from ``--seed``."""
+    return sample_iur_sections(body, config.n, RngStream(config.seed),
+                               workers=config.workers)
 
 
 def _common_options(fn):
@@ -174,7 +173,7 @@ def main():
 @_command
 def sample(config):
     """Draw isotropic random section volumes of a shape."""
-    _, result = _sample(config)
+    result = _sample(_body(config), config)
     json_out = config.output.endswith(".json")
     save = save_sample_json if json_out else save_sample_csv
     save(result, config.output, config=config.to_dict())
@@ -200,8 +199,11 @@ def density(config):
     """Estimate the section volume density of a shape."""
     if config.grid_points is not None and config.grid_points < 16:
         raise ValueError("--grid-points must be >= 16")
-    body, result = _sample(config)
-    estimate = estimate_root_density(result, grid_points=config.grid_points,
+    body = _body(config)
+    # the sample is handed over, not kept: in 3D its volumes go once the
+    # roots exist
+    estimate = estimate_root_density(_sample(body, config),
+                                     grid_points=config.grid_points,
                                      bandwidth=config.bandwidth)
     scale = config.scale
     outputs = []
@@ -235,7 +237,7 @@ def density(config):
 @_command
 def ecdf(config):
     """Empirical CDF of (root-transformed) section volumes."""
-    _, result = _sample(config)
+    result = _sample(_body(config), config)
     root = config.scale == "root"
     cdf = empirical_cdf(root_transform(result) if root else result.values)
     save_step_cdf_csv(cdf, config.output, config=config.to_dict())

@@ -455,8 +455,14 @@ def estimate_root_density(sample: SectionSample,
                           grid_points: int | None = None,
                           bandwidth: float | None = None,
                           grid=None) -> DensityEstimate:
-    """Root transform, bandwidth selection and reflection KDE in one step."""
-    x = root_transform(sample)
+    """Root transform, bandwidth selection and reflection KDE in one step.
+
+    Nothing here writes to the sample, so 2D values are read in place.  A
+    caller that hands over its only reference to ``sample`` frees the 3D
+    section volumes once their roots exist.
+    """
+    x = sample.values if sample.dim == 2 else root_transform(sample)
+    del sample
     if bandwidth is None:
         h, method = sheather_jones_bandwidth(x)
     else:

@@ -489,8 +489,11 @@ def section_volumes(body: ConvexBody, thetas, offsets) -> np.ndarray:
         return np.pi * gap if body.dim == 3 else 2.0 * np.sqrt(gap)
 
     nv, (nf, ne) = len(body.vertices), body._edge_incidence[1].shape
-    # float64 temporaries per section; a chunk's stay below 4 MB.  In a
-    # 2-40 MB sweep, from 8 MB up they were faulted in afresh per chunk.
+    # float64 temporaries per section; a chunk's stay below 4 MB per
+    # calling thread, and the sampler calls from up to one thread per core.
+    # In a 2-40 MB sweep, from 8 MB up they were faulted in afresh per
+    # chunk.  No value's bits depend on where a chunk ends, which lets the
+    # sampler split a batch between threads anywhere.
     floats = 2 * nv + 14 * ne + 12 * nf
     chunk = max(1024, min(1 << 16, int(4e6 / (8.0 * floats))))
     out = np.empty(m)

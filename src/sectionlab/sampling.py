@@ -6,15 +6,22 @@ direction is drawn uniformly on the sphere and an offset uniformly on
 (0, R); proposals whose plane misses the body are rejected.  Accepted
 section volumes are distributed like the volume of an IUR section.
 
-Proposals are sharded over ``workers`` independent substreams, each run
-in a thread that fills its own slice of one array in stream order, so
-results are reproducible for a fixed worker count regardless of schedule.
-Each proposal consumes exactly ``dim`` uniforms from its stream, which
-makes the draws independent of the internal batch size.
+Proposals are sharded over ``workers`` independent substreams, each
+filling its own slice of one array in stream order.  Workers choose the
+streams, and so the values; the usable cores choose only the speed.
+With at least as many shards as cores, the shards run one per core.
+With fewer, each shard queues its batch's sections in pieces for the
+spare cores, draws and accept-tests its next batch meanwhile, and then
+computes the pieces still queued itself.  Each value has the same bits
+wherever a piece or chunk boundary falls, so a fixed worker count gives
+the same results on any core count and schedule.  Each proposal consumes
+exactly ``dim`` uniforms from its stream, which makes the draws
+independent of the internal batch size.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -26,6 +33,7 @@ from .geometry import (ConvexBody, section_volumes, translate_body,
 from .rng import RngStream
 
 _BATCH = 1 << 15
+_PIECE = 1 << 12  # sections per task when spare cores help a shard
 
 
 @dataclass
@@ -90,8 +98,8 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     centroid-centered sphere before rejection sampling.  The values form
     ``min(workers, size)`` slices, the first ``size % workers`` one longer
     than the rest; slice ``w`` is drawn from substream ``rng.derive(w)``.
-    The shards run in a pool of threads, at most one per usable core, so
-    the values depend on ``workers`` but not on the core count.
+    The work runs on at most one thread per usable core, so the values
+    depend on ``workers`` but not on the core count.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -106,16 +114,7 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     args = ([centered] * shards, [radius] * shards,
             np.array_split(values, shards),  # views, longest first
             [rng.derive(w) for w in range(shards)])
-    threads = min(shards, len(os.sched_getaffinity(0)))
-    if threads == 1:
-        proposals = list(map(_worker_draws, *args))
-    else:
-        # imported here: about 10 ms at start-up that serial runs never need.
-        # Threads racing to fill the body's lazy caches compute equal arrays.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            proposals = list(pool.map(_worker_draws, *args))
+    proposals = _run_shards(args, shards, len(os.sched_getaffinity(0)))
     return SectionSample(
         values=values,
         n_proposed=sum(proposals),
@@ -127,36 +126,97 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     )
 
 
-def _worker_draws(body, radius, out, stream) -> int:
-    """Fill ``out`` with accepted section volumes; return the proposals."""
+def _run_shards(args, shards: int, cores: int) -> list[int]:
+    """Run ``_worker_draws`` over the shards' arguments on ``cores`` cores.
+
+    One core runs the shards in turn.  At least as many shards as cores
+    run one per core.  Fewer shards run one per thread, and the cores
+    they leave spare help compute their sections.
+    """
+    if cores == 1:
+        return list(map(_worker_draws, *args))
+    # imported here: about 10 ms at start-up that serial runs never need.
+    # Threads racing to fill the body's lazy caches compute equal arrays.
+    from concurrent.futures import ThreadPoolExecutor
+
+    if shards >= cores:
+        with ThreadPoolExecutor(cores) as pool:
+            return list(pool.map(_worker_draws, *args))
+    with ThreadPoolExecutor(cores - shards) as helpers:
+        draws = functools.partial(_worker_draws, helpers=helpers)
+        if shards == 1:
+            return list(map(draws, *args))
+        with ThreadPoolExecutor(shards) as pool:
+            return list(pool.map(draws, *args))
+
+
+def _fill(out, body, thetas, offsets) -> None:
+    out[:] = section_volumes(body, thetas, offsets)
+
+
+def _finish(pieces) -> None:
+    """Compute the pieces no helper has started here; wait for the rest.
+
+    Helpers start pieces in submission order, so once a piece cannot be
+    cancelled every earlier one has started too.
+    """
+    for task, args in reversed(pieces):
+        if task.cancel():
+            _fill(*args)
+        else:
+            task.result()  # re-raises a helper's error
+
+
+def _worker_draws(body, radius, out, stream, helpers=None) -> int:
+    """Fill ``out`` with accepted section volumes; return the proposals.
+
+    With a pool of ``helpers``, each batch's sections are queued there in
+    pieces while this thread draws and accept-tests the next batch; then
+    it computes the pieces still queued itself.  At most one batch is in
+    flight, so memory stays bounded.
+    """
     gen = stream.generator()
-    dim = body.dim
     quota = len(out)
     got, nprop = 0, 0
+    pieces = []
     while got < quota:
-        u = gen.random((_BATCH, dim))
-        thetas = _directions_from_uniforms(u)
-        offsets = radius * u[:, dim - 1]
-        if body.kind == "ball":
-            hits = offsets <= body.radius  # always true: radius == R
-        else:
-            # a fast BLAS product only decides acceptance: its rounding
-            # depends on the batch, so section_volumes does not reuse it
-            heights = body.vertices @ thetas.T
-            hits = ((offsets >= heights.min(axis=0))
-                    & (offsets <= heights.max(axis=0)))
-        csum = np.cumsum(hits)
-        if csum[-1] >= quota - got:
-            # stop at the proposal delivering the last needed acceptance
-            last = int(np.searchsorted(csum, quota - got))
-            hits[last + 1:] = False
-            nprop += last + 1
-        else:
-            nprop += _BATCH
-        i = np.nonzero(hits)[0]
-        out[got:got + i.size] = section_volumes(body, thetas[i], offsets[i])
-        got += i.size
+        thetas, offsets, proposed = _accepted_batch(gen, body, radius,
+                                                    quota - got)
+        nprop += proposed
+        dest = out[got:got + len(offsets)]
+        got += len(offsets)
+        if helpers is None:
+            _fill(dest, body, thetas, offsets)
+            continue
+        _finish(pieces)
+        pieces = []
+        for lo in range(0, len(offsets), _PIECE):
+            args = (dest[lo:lo + _PIECE], body, thetas[lo:lo + _PIECE],
+                    offsets[lo:lo + _PIECE])
+            pieces.append((helpers.submit(_fill, *args), args))
+    _finish(pieces)
     return nprop
+
+
+def _accepted_batch(gen, body, radius, wanted):
+    """Directions and offsets of one batch's accepted planes, at most
+    ``wanted`` of them, and the proposals that delivered them."""
+    dim = body.dim
+    u = gen.random((_BATCH, dim))
+    thetas = _directions_from_uniforms(u)
+    offsets = radius * u[:, dim - 1]
+    if body.kind == "ball":
+        hits = offsets <= body.radius  # always true: radius == R
+    else:
+        # a fast BLAS product only decides acceptance: its rounding
+        # depends on the batch, so section_volumes does not reuse it
+        heights = body.vertices @ thetas.T
+        hits = ((offsets >= heights.min(axis=0))
+                & (offsets <= heights.max(axis=0)))
+    i = np.flatnonzero(hits)[:wanted]
+    # stop at the proposal delivering the last needed acceptance
+    proposed = _BATCH if i.size < wanted else int(i[-1]) + 1
+    return thetas[i], offsets[i], proposed
 
 
 def acceptance_estimate(sample: SectionSample) -> float:

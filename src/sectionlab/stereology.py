@@ -183,13 +183,16 @@ class ReferenceDensity:
                   workers: int = 1) -> "ReferenceDensity":
         if rng is None:
             rng = RngStream(0)
-        sample = sample_iur_sections(body, size, rng, workers=workers)
-        return cls(estimate_root_density(sample))
+        # handed over, not kept: in 3D the volumes go once the roots exist
+        return cls(estimate_root_density(
+            sample_iur_sections(body, size, rng, workers=workers)))
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         # the interpolant is already 0 past the last grid point
-        return np.where(z > 0, self.estimate.evaluate(z), 0.0)
+        out = np.asarray(self.estimate.evaluate(z))
+        out[~(z > 0)] = 0.0  # NaN too
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +201,13 @@ class ReferenceDensity:
 
 def _mixture_kernel(s_obs: np.ndarray, atoms: np.ndarray,
                     reference: ReferenceDensity) -> np.ndarray:
-    """k[i, j] = g(s_i / atom_j) / atom_j, the scale-mixture kernel."""
-    ratios = s_obs[:, None] / atoms[None, :]
-    return reference.evaluate(ratios) / atoms[None, :]
+    """k[i, j] = g(s_i / atom_j) / atom_j, the scale-mixture kernel.
+
+    Two n x m arrays at most: the ratios, and g of them divided in place.
+    """
+    kernel = reference.evaluate(np.divide.outer(s_obs, atoms))
+    kernel /= atoms
+    return kernel
 
 
 def log_likelihood(hb: StepCDF, s_obs, reference: ReferenceDensity) -> float:

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -505,6 +507,55 @@ class TestPipeline:
         est = estimate_root_density(sample, bandwidth=0.05)
         assert est.bandwidth == 0.05
         assert est.bandwidth_method == "fixed"
+
+    def test_2d_sample_is_read_in_place(self, square, monkeypatch):
+        sample = sample_iur_sections(square, 2000, RngStream(24))
+        sample.values.flags.writeable = False
+        seen = []
+        real_sj = density.sheather_jones_bandwidth
+
+        def spy(x, nbins=1000):
+            seen.append(x)
+            return real_sj(x, nbins)
+
+        monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
+        estimate_root_density(sample)
+        assert seen[0] is sample.values  # no copy of the sample
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "CPython 3.10 keeps call arguments on the caller's stack until the "
+        "call returns, so the caller's temporary outlives the roots"))
+    @pytest.mark.parametrize("caller", ["estimate", "reference", "cli"])
+    def test_3d_volumes_freed_once_roots_exist(self, cube, monkeypatch,
+                                               tmp_path, caller):
+        from sectionlab import cli, stereology
+
+        volumes, alive = [], []
+
+        def recording_sample(*args, **kwargs):
+            sample = sample_iur_sections(*args, **kwargs)
+            volumes.append(weakref.ref(sample.values))
+            return sample
+
+        real_sj = density.sheather_jones_bandwidth
+
+        def spy(x, nbins=1000):
+            alive.append(volumes[0]() is not None)
+            return real_sj(x, nbins)
+
+        monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
+        monkeypatch.setattr(stereology, "sample_iur_sections",
+                            recording_sample)
+        monkeypatch.setattr(cli, "sample_iur_sections", recording_sample)
+        if caller == "estimate":
+            estimate_root_density(recording_sample(cube, 2000, RngStream(25)))
+        elif caller == "reference":
+            stereology.ReferenceDensity.from_body(cube, size=2000,
+                                                  rng=RngStream(25))
+        else:
+            cli.main.main(["density", "--shape", "cube", "--n", "2000", "-o",
+                           str(tmp_path / "cube.csv")], standalone_mode=False)
+        assert alive == [False]
 
     def test_default_grid_covers_boundary(self):
         grid = default_grid(np.array([1.0, 2.0]), h=0.1, grid_points=64)

@@ -130,6 +130,81 @@ class TestIurSampling:
         assert np.array_equal(pooled.values, serial.values)
         assert pooled.n_proposed == serial.n_proposed
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_spare_cores_match_serial_loop(self, square, dodecahedron,
+                                           monkeypatch, cores, workers):
+        # small batches and pieces, so that many batches are in flight and
+        # the drawing thread computes some pieces itself
+        import concurrent.futures
+        import os
+        import sys
+
+        import sectionlab.sampling as sampling
+        from sectionlab.geometry import builtin_body
+
+        monkeypatch.setattr(sampling, "_BATCH", 997)
+        monkeypatch.setattr(sampling, "_PIECE", 101)
+        bodies = (square, dodecahedron, builtin_body("polygon7"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = [sample_iur_sections(b, 20000, RngStream(9), workers=workers)
+                  for b in bodies]
+        pools = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def recording_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            recording_pool)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pooled = [sample_iur_sections(b, 20000, RngStream(9),
+                                          workers=workers) for b in bodies]
+        finally:
+            sys.setswitchinterval(interval)
+        for one, two in zip(serial, pooled):
+            assert np.array_equal(one.values, two.values), one.body_label
+            assert one.n_proposed == two.n_proposed
+        assert all(size <= cores for size in pools)
+        if cores > workers:  # helpers on the spare cores, then the shards
+            # the calling thread runs a lone shard itself
+            per_call = [cores - workers] + ([workers] if workers > 1 else [])
+            assert pools == per_call * len(bodies)
+
+    def test_helper_error_reaches_the_caller(self, cube, monkeypatch):
+        import os
+        import threading
+
+        import sectionlab.sampling as sampling
+
+        class KernelFault(ValueError):
+            pass
+
+        real_kernel = sampling.section_volumes
+        raised_in = []
+
+        def faulty_kernel(body, thetas, offsets):
+            thread = threading.current_thread()
+            if thread is not threading.main_thread():
+                raised_in.append(thread.name)
+                raise KernelFault("kernel failed in a helper")
+            return real_kernel(body, thetas, offsets)
+
+        monkeypatch.setattr(sampling, "_BATCH", 997)
+        monkeypatch.setattr(sampling, "_PIECE", 101)
+        monkeypatch.setattr(sampling, "section_volumes", faulty_kernel)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = set(threading.enumerate())
+        with pytest.raises(KernelFault):
+            sample_iur_sections(cube, 20000, RngStream(3))
+        assert raised_in and raised_in[0].startswith("ThreadPoolExecutor")
+        assert set(threading.enumerate()) == before  # no helper left running
+
     def test_extra_sections_go_to_the_first_shards(self, cube):
         # 10 sections over 3 workers: slices of 4, 3 and 3 sections, drawn
         # from substreams 0, 1 and 2 and laid out in that order

@@ -168,6 +168,39 @@ class TestProfileSampling:
 
 
 class TestLogLikelihood:
+    def test_mixture_kernel_bits(self, ball_reference):
+        # g(0) > 0 on the ball reference, so an underflowing ratio must
+        # still give 0, as for every ratio that is not positive
+        grid = ball_reference.estimate.grid
+        assert grid[0] == 0.0 and ball_reference.estimate.values[0] > 0.0
+        s_obs = np.array([1e-300, 0.05, 0.4, 0.77, 1.3])
+        atoms = np.array([1e300, 0.3, 0.9, 1.0, 2.5])
+        kernel = _mixture_kernel(s_obs, atoms, ball_reference)
+        ratios = s_obs[:, None] / atoms
+        assert ratios[0, 0] == 0.0  # underflow
+        expected = ball_reference.evaluate(ratios) / atoms
+        assert np.array_equal(kernel, expected)
+        assert kernel[0, 0] == 0.0
+        # the same rule in np.where form
+        rule = np.where(ratios > 0, ball_reference.estimate.evaluate(ratios),
+                        0.0) / atoms
+        assert np.array_equal(kernel, rule)
+        assert ball_reference.evaluate(np.nan) == 0.0
+
+    def test_mixture_kernel_memory(self, ball_reference):
+        import tracemalloc
+
+        s_obs = np.linspace(0.01, 1.5, 600)
+        tracemalloc.start()
+        try:
+            kernel = _mixture_kernel(s_obs, s_obs, ball_reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the ratios and the kernel, plus boolean masks; a build that also
+        # keeps np.where's result peaks at 3.1x
+        assert peak <= 2.5 * kernel.nbytes
+
     def test_single_atom_reduces_to_plain_density(self):
         ref = triangular_reference()
         s_obs = np.array([0.3, 0.5, 0.9])
