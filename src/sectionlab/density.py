@@ -129,10 +129,15 @@ class StepCDF:
 # Transforms
 
 
-def root_transform(sample: SectionSample) -> np.ndarray:
-    """(n-1)-th root of the section volumes: identity in 2D, sqrt in 3D."""
+def root_transform(sample: SectionSample, copy: bool = True) -> np.ndarray:
+    """(n-1)-th root of the section volumes: identity in 2D, sqrt in 3D.
+
+    In 2D the result is a copy unless ``copy`` is false; then it may be
+    the sample's own array, for callers that only read it.
+    """
     if sample.dim == 2:
-        return np.asarray(sample.values, dtype=float).copy()
+        values = np.asarray(sample.values, dtype=float)
+        return values.copy() if copy else values
     if sample.dim == 3:
         return np.sqrt(sample.values)
     raise ValueError("sample dimension must be 2 or 3")
@@ -461,7 +466,7 @@ def estimate_root_density(sample: SectionSample,
     caller that hands over its only reference to ``sample`` frees the 3D
     section volumes once their roots exist.
     """
-    x = sample.values if sample.dim == 2 else root_transform(sample)
+    x = root_transform(sample, copy=False)
     del sample
     if bandwidth is None:
         h, method = sheather_jones_bandwidth(x)

@@ -9,19 +9,18 @@ section volumes are distributed like the volume of an IUR section.
 Proposals are sharded over ``workers`` independent substreams, each
 filling its own slice of one array in stream order.  Workers choose the
 streams, and so the values; the usable cores choose only the speed.
-With at least as many shards as cores, the shards run one per core.
-With fewer, each shard queues its batch's sections in pieces for the
-spare cores, draws and accept-tests its next batch meanwhile, and then
-computes the pieces still queued itself.  Each value has the same bits
-wherever a piece or chunk boundary falls, so a fixed worker count gives
-the same results on any core count and schedule.  Each proposal consumes
-exactly ``dim`` uniforms from its stream, which makes the draws
+Several shards run on a pool of at most one thread per core.  A lone shard
+on several cores queues each batch's sections in pieces for ``cores - 1``
+helper threads, draws and accept-tests its next batch meanwhile, and
+then computes the pieces still queued itself.  Each value has the same
+bits wherever a piece or chunk boundary falls, so a fixed worker count
+gives the same results on any core count and schedule.  Each proposal
+consumes exactly ``dim`` uniforms from its stream, which makes the draws
 independent of the internal batch size.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -33,7 +32,10 @@ from .geometry import (ConvexBody, section_volumes, translate_body,
 from .rng import RngStream
 
 _BATCH = 1 << 15
-_PIECE = 1 << 12  # sections per task when spare cores help a shard
+# a lone shard's batch goes to its helpers in this many pieces per core,
+# fine enough that the pieces still queued once the next batch is drawn,
+# which the drawing thread computes itself, balance the threads' work
+_PIECES_PER_CORE = 4
 
 
 @dataclass
@@ -63,15 +65,22 @@ def _directions_from_uniforms(u: np.ndarray) -> np.ndarray:
 
     2D: angle 2*pi*u0.  3D: longitude 2*pi*u0 and cosine of the polar
     angle uniform on (-1, 1) from u1, the standard area-preserving
-    construction.
+    construction.  Each column is written in place, without the
+    temporaries that stacking the columns would hold.
     """
     dim = u.shape[1]
+    out = np.empty(u.shape)
     phi = 2.0 * np.pi * u[:, 0]
     if dim == 2:
-        return np.column_stack([np.cos(phi), np.sin(phi)])
+        out[:, 0] = np.cos(phi)
+        out[:, 1] = np.sin(phi)
+        return out
     x = 2.0 * u[:, 1] - 1.0
     sin_om = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    return np.column_stack([sin_om * np.cos(phi), sin_om * np.sin(phi), x])
+    np.multiply(sin_om, np.cos(phi), out=out[:, 0])
+    np.multiply(sin_om, np.sin(phi), out=out[:, 1])
+    out[:, 2] = x
+    return out
 
 
 def sample_directions(dim: int, size: int, rng: RngStream) -> np.ndarray:
@@ -129,9 +138,10 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
 def _run_shards(args, shards: int, cores: int) -> list[int]:
     """Run ``_worker_draws`` over the shards' arguments on ``cores`` cores.
 
-    One core runs the shards in turn.  At least as many shards as cores
-    run one per core.  Fewer shards run one per thread, and the cores
-    they leave spare help compute their sections.
+    One core runs the shards in turn, and several shards run on a pool
+    of at most one thread per core.  A lone shard on several cores is
+    run by the calling thread, with ``cores - 1`` helper threads
+    computing its sections.
     """
     if cores == 1:
         return list(map(_worker_draws, *args))
@@ -139,15 +149,13 @@ def _run_shards(args, shards: int, cores: int) -> list[int]:
     # Threads racing to fill the body's lazy caches compute equal arrays.
     from concurrent.futures import ThreadPoolExecutor
 
-    if shards >= cores:
-        with ThreadPoolExecutor(cores) as pool:
+    if shards > 1:
+        with ThreadPoolExecutor(min(shards, cores)) as pool:
             return list(pool.map(_worker_draws, *args))
-    with ThreadPoolExecutor(cores - shards) as helpers:
-        draws = functools.partial(_worker_draws, helpers=helpers)
-        if shards == 1:
-            return list(map(draws, *args))
-        with ThreadPoolExecutor(shards) as pool:
-            return list(pool.map(draws, *args))
+    with ThreadPoolExecutor(cores - 1) as helpers:
+        (body,), (radius,), (out,), (stream,) = args
+        return [_worker_draws(body, radius, out, stream, helpers,
+                              _PIECES_PER_CORE * cores)]
 
 
 def _fill(out, body, thetas, offsets) -> None:
@@ -167,21 +175,26 @@ def _finish(pieces) -> None:
             task.result()  # re-raises a helper's error
 
 
-def _worker_draws(body, radius, out, stream, helpers=None) -> int:
+def _worker_draws(body, radius, out, stream, helpers=None, split=1) -> int:
     """Fill ``out`` with accepted section volumes; return the proposals.
 
     With a pool of ``helpers``, each batch's sections are queued there in
-    pieces while this thread draws and accept-tests the next batch; then
-    it computes the pieces still queued itself.  At most one batch is in
-    flight, so memory stays bounded.
+    ``split`` pieces while this thread draws and accept-tests the next
+    batch; then it computes the pieces still queued itself.  At most one
+    batch is in flight, so memory stays bounded.
     """
     gen = stream.generator()
     quota = len(out)
     got, nprop = 0, 0
     pieces = []
+    # reused by every batch: with it and the stacked directions allocated
+    # afresh, a cube batch freed more at once than glibc's dynamic trim
+    # threshold, so its pages went back to the OS and were faulted in
+    # again on every batch (7x the minor faults on 3e6 cube sections)
+    u = np.empty((_BATCH, body.dim))
     while got < quota:
         thetas, offsets, proposed = _accepted_batch(gen, body, radius,
-                                                    quota - got)
+                                                    quota - got, u)
         nprop += proposed
         dest = out[got:got + len(offsets)]
         got += len(offsets)
@@ -190,19 +203,21 @@ def _worker_draws(body, radius, out, stream, helpers=None) -> int:
             continue
         _finish(pieces)
         pieces = []
-        for lo in range(0, len(offsets), _PIECE):
-            args = (dest[lo:lo + _PIECE], body, thetas[lo:lo + _PIECE],
-                    offsets[lo:lo + _PIECE])
+        piece = max(1, -(-len(offsets) // split))
+        for lo in range(0, len(offsets), piece):
+            args = (dest[lo:lo + piece], body, thetas[lo:lo + piece],
+                    offsets[lo:lo + piece])
             pieces.append((helpers.submit(_fill, *args), args))
     _finish(pieces)
     return nprop
 
 
-def _accepted_batch(gen, body, radius, wanted):
+def _accepted_batch(gen, body, radius, wanted, u):
     """Directions and offsets of one batch's accepted planes, at most
-    ``wanted`` of them, and the proposals that delivered them."""
+    ``wanted`` of them, and the proposals that delivered them.  The
+    batch's uniforms are drawn into ``u``."""
     dim = body.dim
-    u = gen.random((_BATCH, dim))
+    gen.random(out=u)
     thetas = _directions_from_uniforms(u)
     offsets = radius * u[:, dim - 1]
     if body.kind == "ball":

@@ -134,8 +134,8 @@ class TestIurSampling:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_spare_cores_match_serial_loop(self, square, dodecahedron,
                                            monkeypatch, cores, workers):
-        # small batches and pieces, so that many batches are in flight and
-        # the drawing thread computes some pieces itself
+        # small batches, so that many batches are in flight and the
+        # drawing thread computes some pieces itself
         import concurrent.futures
         import os
         import sys
@@ -144,7 +144,6 @@ class TestIurSampling:
         from sectionlab.geometry import builtin_body
 
         monkeypatch.setattr(sampling, "_BATCH", 997)
-        monkeypatch.setattr(sampling, "_PIECE", 101)
         bodies = (square, dodecahedron, builtin_body("polygon7"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = [sample_iur_sections(b, 20000, RngStream(9), workers=workers)
@@ -171,10 +170,9 @@ class TestIurSampling:
             assert np.array_equal(one.values, two.values), one.body_label
             assert one.n_proposed == two.n_proposed
         assert all(size <= cores for size in pools)
-        if cores > workers:  # helpers on the spare cores, then the shards
-            # the calling thread runs a lone shard itself
-            per_call = [cores - workers] + ([workers] if workers > 1 else [])
-            assert pools == per_call * len(bodies)
+        if cores > 1:
+            # the calling thread runs a lone shard beside cores - 1 helpers
+            assert pools == [cores - 1 if workers == 1 else workers] * 3
 
     def test_helper_error_reaches_the_caller(self, cube, monkeypatch):
         import os
@@ -196,7 +194,6 @@ class TestIurSampling:
             return real_kernel(body, thetas, offsets)
 
         monkeypatch.setattr(sampling, "_BATCH", 997)
-        monkeypatch.setattr(sampling, "_PIECE", 101)
         monkeypatch.setattr(sampling, "section_volumes", faulty_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         before = set(threading.enumerate())
