@@ -7,15 +7,22 @@ zero), pick the bandwidth with the Sheather-Jones solve-the-equation
 plug-in applied to the mirrored sample of size 2N, and if the volume
 scale is wanted, change variables back pointwise.  Neither step builds
 the mirror: the plug-in takes the mirror's quartiles, standard deviation
-and binned pair counts from the sample itself, and the KDE adds each
-node's kernel at z and at -z.
+and binned pair counts from the sample itself, and the KDE folds each
+lattice node's weight onto its mirror node.
 
 Each grid point's kernel sum runs only over a window of 40 bandwidths,
 beyond which every term underflows to 0.0.  Small samples are summed
 point by point, exactly.  Large ones are first linearly binned on a
-lattice of spacing h/32, and the sum runs over the weighted lattice
-nodes; this costs O(N + grid * 2560) and moves each value by at most
-phi(0) / (8 * 32^2 * h) per unit of kernel mass (see ``_kde_nodes``).
+lattice of spacing delta <= h/32, which moves each value by at most
+phi(0) / (8 * 32^2 * h) per unit of kernel mass (see
+``_lattice_weights``).  On a grid equispaced from 0 with spacing
+Delta >= h/32, such as the default grid, delta = Delta / ceil(32 Delta
+/ h), so every grid point is a lattice node, and the sums are one
+lattice correlation: the 80 h / delta + 1 Gaussian taps are computed
+once, and the grid's windows are dotted with them in about 80 h / Delta
+BLAS products, at least one.  That costs O(N + grid * 80 h / delta)
+multiply-adds and no exp per term.  Other grids take delta = h/32 and
+sum each point's occupied nodes, at one exp a term.
 """
 
 from __future__ import annotations
@@ -193,42 +200,120 @@ def _window_sums(nodes: np.ndarray, weights: np.ndarray, centres: np.ndarray,
     return out
 
 
-def _kde_nodes(x: np.ndarray, h: float, mirrored_size: int):
-    """Sorted nodes and their weights, standing in for the sample ``x``.
-
-    Each point x = sign * (k + f) * delta, with delta = h / 32, k an
-    integer and 0 <= f < 1, puts weight 1 - f on the lattice node
-    sign * k * delta and f on sign * (k + 1) * delta (linear binning of
-    |x|, then the sign, so -x gets the exact mirror of the weights of x).
-    Only occupied nodes are kept.  A binned kernel term is the linear
-    interpolant, between two nodes, of the exact one, so it is off by at
-    most delta^2 / 8 * max|K_h''| = phi(0) / (8 * 32^2 * h) per unit of
-    kernel mass, as |phi''| <= phi(0): a classical KDE by at most that,
-    a reflection KDE (two kernels per point) by twice that.
-
-    When the lattice over [-max|x|, max|x|] has at least
-    ``mirrored_size`` nodes, binning saves nothing, and the nodes are the
-    sorted sample with unit weights, which sums exactly.  Both KDEs pass
-    the size of the mirrored sample, so a reflection KDE and the
-    classical KDE of its mirrored sample take the same branch.
-    """
-    delta = h / _BINS_PER_H
-    top = int(max(x.max(), -x.min()) / delta) + 1  # highest node index
-    if 2 * top + 1 >= mirrored_size:
-        nodes = np.sort(x)
-        return nodes, np.ones(nodes.size)
-    total = np.zeros(2 * top + 1)  # node k * delta at index k + top
+def _half_bins(x: np.ndarray, delta: float, top: int) -> np.ndarray:
+    """Weights of the nonnegative ``x`` linearly binned on the nodes
+    k * delta, 0 <= k <= top: a point (k + f) * delta with 0 <= f < 1
+    puts 1 - f on node k and f on node k + 1."""
+    total = np.zeros(top + 1)
     for start in range(0, x.size, _BIN_CHUNK):
-        chunk = x[start:start + _BIN_CHUNK]
-        a = np.abs(chunk) / delta
+        a = x[start:start + _BIN_CHUNK] / delta
         k = a.astype(np.intp)
-        f = a - k
-        sign = np.where(chunk < 0, -1, 1)
-        near = sign * k + top
-        total += np.bincount(near, 1.0 - f, minlength=total.size)
-        total += np.bincount(near + sign, f, minlength=total.size)
-    occupied = np.flatnonzero(total)
-    return (occupied - top) * delta, total[occupied]
+        a -= k
+        total[:-1] += np.bincount(k, 1.0 - a, minlength=top)
+        total[1:] += np.bincount(k, a, minlength=top)
+    return total
+
+
+def _lattice_weights(x: np.ndarray, delta: float, top: int,
+                     mirror: bool) -> np.ndarray:
+    """Weights on the nodes k * delta, |k| <= top, at index k + top.
+
+    |x| is linearly binned, then the sign applied, so -x gets the exact
+    mirror of the weights of x.  With ``mirror`` (x nonnegative) they are
+    the weights of the mirrored sample {x} U {-x}: node k's weight folds
+    onto -k, and node 0 counts twice.  A binned kernel term is the linear
+    interpolant, between two nodes, of the exact one, so it is off by at
+    most delta^2 / 8 * max|K_h''| <= phi(0) / (8 * 32^2 * h) per unit of
+    kernel mass when delta <= h / 32, as |phi''| <= phi(0).
+    """
+    w = np.zeros(2 * top + 1)
+    if mirror:
+        w[top:] = _half_bins(x, delta, top)
+        w[top::-1] += w[top:]
+    else:
+        w[top:] = _half_bins(x[x >= 0], delta, top)
+        w[top::-1] += _half_bins(-x[x < 0], delta, top)
+    return w
+
+
+def _lattice_step(grid: np.ndarray, h: float) -> float | None:
+    """The spacing of a grid equispaced from 0, to rounding, if it is at
+    least h / 32; None for any other grid."""
+    if grid.size < 2 or grid[0] != 0.0 or not grid[1] >= h / _BINS_PER_H:
+        return None
+    step = float(grid[1])
+    lattice = step * np.arange(grid.size)
+    slack = 4.0 * np.finfo(float).eps * lattice[-1]
+    if not np.abs(grid - lattice).max() <= slack:  # NaN too
+        return None
+    return step
+
+
+def _lattice_sums(weights: np.ndarray, top: int, ratio: float, stride: int,
+                  count: int) -> np.ndarray:
+    """Kernel sums at the nodes j * stride, 0 <= j < count, of the
+    lattice whose node k carries ``weights[k + top]``; ``ratio`` is the
+    node spacing over h.
+
+    The taps exp(-(i * ratio)^2 / 2), |i| <= 40 / ratio, are computed
+    once.  They are cut into chunks of ``stride`` (one chunk when they
+    are shorter), and each chunk is dotted with the matching window of
+    every grid point at once: the windows of one chunk start ``stride``
+    nodes apart, so they are the rows of one strided view of the padded
+    weights, and one BLAS product per chunk serves the whole grid.
+    Terms beyond the reach underflow to 0.0, so a grid point with no node
+    within 40 h gets exactly 0, and no value is negative.
+    """
+    reach = int(_KERNEL_REACH / ratio)
+    taps = 2 * reach + 1
+    width = min(stride, taps)
+    chunks = -(-taps // width)
+    u = np.arange(-reach, chunks * width - reach) * ratio
+    kernel = np.exp(-0.5 * u * u)
+    # grid points past this one have no node within the reach
+    near = min(count, (top + reach) // stride + 1)
+    padded = np.zeros((near - 1) * stride + chunks * width)  # node q - reach
+    lo, hi = max(0, reach - top), min(padded.size, reach + top + 1)
+    padded[lo:hi] = weights[lo - reach + top:hi - reach + top]
+    rows = np.lib.stride_tricks.sliding_window_view(padded, width)[::stride]
+    out = np.zeros(count)
+    for c in range(chunks):
+        out[:near] += rows[c:c + near] @ kernel[c * width:(c + 1) * width]
+    return out
+
+
+def _kde_sums(x: np.ndarray, h: float, grid: np.ndarray,
+              mirror: bool) -> np.ndarray:
+    """Sum over the sample of exp(-((z - x_i)/h)^2 / 2) at each grid
+    point z, with the mirrored term at z + x_i added when ``mirror``.
+
+    On a grid equispaced from 0 with spacing at least h / 32 the sample
+    is binned on a lattice of spacing delta = spacing / ceil(32 spacing /
+    h) <= h / 32, whose every stride-th node is a grid point, and the
+    sums are a lattice correlation (``_lattice_sums``).  On other grids it
+    is binned on h / 32 and each point sums the occupied nodes within
+    40 h.  When the lattice has at least as many nodes as the mirrored
+    sample, binning saves nothing, and the sums run over the sample
+    exactly.  Both KDEs pass their mirrored sample's size, so a
+    reflection KDE and the classical KDE of its mirrored sample take the
+    same branch.
+    """
+    step = _lattice_step(grid, h)
+    stride = 1 if step is None else math.ceil(_BINS_PER_H * step / h)
+    delta = h / _BINS_PER_H if step is None else step / stride
+    top = int(max(x.max(), -x.min()) / delta) + 1  # highest node index
+    if 2 * top + 1 >= (2 if mirror else 1) * x.size:
+        nodes = np.sort(x)
+        ones = np.ones(nodes.size)
+        sums = _window_sums(nodes, ones, grid, h)
+        if mirror:
+            sums += _window_sums(nodes, ones, -grid, h)
+        return sums
+    weights = _lattice_weights(x, delta, top, mirror)
+    if step is not None:
+        return _lattice_sums(weights, top, delta / h, stride, grid.size)
+    occupied = np.flatnonzero(weights)
+    return _window_sums((occupied - top) * delta, weights[occupied], grid, h)
 
 
 def _kde_sample(x, h: float) -> np.ndarray:
@@ -247,8 +332,7 @@ def classical_kde(x, h: float, grid) -> np.ndarray:
     """Plain Gaussian KDE values of ``x`` on ``grid``."""
     x = _kde_sample(x, h)
     grid = np.asarray(grid, dtype=float)
-    nodes, weights = _kde_nodes(x, h, x.size)
-    return _window_sums(nodes, weights, grid, h) / (x.size * h * _SQRT2PI)
+    return _kde_sums(x, h, grid, mirror=False) / (x.size * h * _SQRT2PI)
 
 
 def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
@@ -258,7 +342,8 @@ def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
     Every kernel term is mirrored across 0, so the continuous estimator
     integrates to exactly 1 over [0, inf) and equals twice the classical
     KDE of the mirrored sample of size 2N.  The mirror is never built:
-    the sum at z adds the nodes' sums at z and at -z.
+    binned, each node's weight is folded onto its mirror node; summed
+    exactly, the sum at z adds the sample's sums at z and at -z.
     """
     x = _kde_sample(x, h)
     if (x < 0).any():
@@ -266,9 +351,7 @@ def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise ValueError("evaluation grid must be nonnegative")
-    nodes, weights = _kde_nodes(x, h, 2 * x.size)
-    values = (_window_sums(nodes, weights, grid, h)
-              + _window_sums(nodes, weights, -grid, h))
+    values = _kde_sums(x, h, grid, mirror=True)
     values /= x.size * h * _SQRT2PI
     return DensityEstimate(
         grid=grid.copy(),

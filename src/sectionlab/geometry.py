@@ -527,14 +527,19 @@ def _edge_sections(body, thetas, d) -> np.ndarray:
     ia, ib = edges[:, 0], edges[:, 1]
     pos = d >= 0.0
     cross = np.subtract(pos[ia], pos[ib], dtype=float)  # c_e in {-1, 0, 1}
-    da, db = d[ia], d[ib]
-    t = np.divide(da, da - db, out=np.zeros_like(da), where=cross != 0.0)
+    crossed = np.abs(cross)
+    da = d[ia]
+    # t = da / (da - db) on crossed edges, where da - db != 0, and 0 off
+    # them: a zero denominator, only possible off them, is made 1 first
+    t = np.subtract(da, d[ib])
+    t += t == 0.0
+    np.divide(da, t, out=t)
+    t *= crossed
     if body.dim == 2:
         tau = v[:, 1, None] * thetas[:, 0] - v[:, 0, None] * thetas[:, 1]
         ta = tau[ia]
         chord = (cross * (ta + t * (tau[ib] - ta))).sum(axis=0)
         return np.maximum(chord, 0.0)
-    crossed = np.abs(cross)
     va, dv = v[ia], v[ib] - v[ia]
     q = np.empty((3,) + da.shape)  # crossing points, 0 off crossed edges
     for k in range(3):

@@ -66,15 +66,15 @@ def _directions_from_uniforms(u: np.ndarray) -> np.ndarray:
     2D: angle 2*pi*u0.  3D: longitude 2*pi*u0 and cosine of the polar
     angle uniform on (-1, 1) from u1, the standard area-preserving
     construction.  Each column is written in place, without the
-    temporaries that stacking the columns would hold.
+    temporaries that stacking the columns would hold; in 2D both come
+    from one complex exp(i phi), whose parts are cos(phi) and sin(phi).
     """
     dim = u.shape[1]
-    out = np.empty(u.shape)
     phi = 2.0 * np.pi * u[:, 0]
     if dim == 2:
-        out[:, 0] = np.cos(phi)
-        out[:, 1] = np.sin(phi)
-        return out
+        z = np.multiply(1j, phi)
+        return np.exp(z, out=z).view(float).reshape(-1, 2)
+    out = np.empty(u.shape)
     x = 2.0 * u[:, 1] - 1.0
     sin_om = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     np.multiply(sin_om, np.cos(phi), out=out[:, 0])
@@ -231,7 +231,7 @@ def _accepted_batch(gen, body, radius, wanted, u):
     i = np.flatnonzero(hits)[:wanted]
     # stop at the proposal delivering the last needed acceptance
     proposed = _BATCH if i.size < wanted else int(i[-1]) + 1
-    return thetas[i], offsets[i], proposed
+    return np.take(thetas, i, axis=0), np.take(offsets, i), proposed
 
 
 def acceptance_estimate(sample: SectionSample) -> float:

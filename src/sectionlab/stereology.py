@@ -34,6 +34,7 @@ from .sampling import sample_iur_sections
 START_ATOMS = 20  # evenly spaced candidates carrying the starting weights
 ARMIJO = 1e-4  # share of the predicted log-likelihood gain a step must reach
 MIN_STEP = 2.0 ** -40  # shortest line-search step before the solver gives up
+_KERNEL_BLOCK = 1 << 16  # mixture-kernel entries computed per block
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,16 @@ def _mixture_kernel(s_obs: np.ndarray, atoms: np.ndarray,
                     reference: ReferenceDensity) -> np.ndarray:
     """k[i, j] = g(s_i / atom_j) / atom_j, the scale-mixture kernel.
 
-    Two n x m arrays at most: the ratios, and g of them divided in place.
+    One n x m array, filled in blocks of rows: each block holds its
+    ratios first, then g of them divided by the atoms, so beyond the
+    kernel only one block's temporaries exist at a time.
     """
-    kernel = reference.evaluate(np.divide.outer(s_obs, atoms))
-    kernel /= atoms
+    kernel = np.empty((s_obs.size, atoms.size))
+    rows = max(1, _KERNEL_BLOCK // atoms.size)
+    for lo in range(0, s_obs.size, rows):
+        block = kernel[lo:lo + rows]
+        np.divide.outer(s_obs[lo:lo + rows], atoms, out=block)
+        np.divide(reference.evaluate(block), atoms, out=block)
     return kernel
 
 

@@ -279,18 +279,122 @@ class TestBinnedKde:
 
     def test_nodes_of_the_mirror_are_the_mirrored_nodes(self):
         x = np.random.default_rng(43).gamma(2.0, 1.0, 100_000)
-        nodes, weights = density._kde_nodes(x, 0.05, x.size)
-        assert nodes.size < x.size
+        delta = 0.05 / density._BINS_PER_H
+        top = int(x.max() / delta) + 1
+        weights = density._lattice_weights(x, delta, top, mirror=False)
+        assert np.count_nonzero(weights) < x.size
         assert weights.sum() == pytest.approx(x.size, rel=1e-12)
-        mirror_nodes, mirror_weights = density._kde_nodes(-x, 0.05, x.size)
-        assert np.array_equal(mirror_nodes, -nodes[::-1])
-        assert np.array_equal(mirror_weights, weights[::-1])
+        mirror = density._lattice_weights(-x, delta, top, mirror=False)
+        assert np.array_equal(mirror, weights[::-1])
+        # folded weights are those of the mirrored sample, node 0 twice
+        folded = density._lattice_weights(x, delta, top, mirror=True)
+        assert np.array_equal(folded, weights + mirror)
+        both = density._lattice_weights(np.concatenate([x, -x]), delta, top,
+                                         mirror=False)
+        assert np.array_equal(folded, both)
 
     def test_rejects_non_finite_data(self):
         with pytest.raises(ValueError):
             reflection_kde(np.array([1.0, np.inf]), 0.1, np.array([0.0]))
         with pytest.raises(ValueError):
             classical_kde(np.array([1.0, np.nan]), 0.1, np.array([0.0]))
+
+
+def _lattice(x, h, grid):
+    """The lattice spacing and stride the KDEs use on ``grid``, after
+    checking that they take the lattice path and bin the sample."""
+    step = density._lattice_step(grid, h)
+    assert step == grid[1]
+    stride = math.ceil(density._BINS_PER_H * step / h)
+    delta = step / stride
+    assert delta <= h / density._BINS_PER_H
+    assert 2 * (int(x.max() / delta) + 1) + 1 < 2 * x.size
+    return delta, stride
+
+
+class TestLatticeKde:
+    H = 2.0 ** -4  # so that a spacing of h / 32 is exact
+
+    @pytest.mark.parametrize("spacing,stride", [
+        (H / 32, 1),  # every lattice node is a grid point
+        (0.9 * H, 29),
+        (40 * H, 1280),  # no node is within reach of two grid points
+        (50 * H, 1600),
+    ])
+    def test_within_the_bound_of_the_exact_sum(self, spacing, stride):
+        x = np.random.default_rng(44).gamma(3.0, 1.0, 20_000)
+        h = self.H
+        count = min(2000, int((x.max() + 4 * h) / spacing) + 2)
+        grid = spacing * np.arange(count)
+        assert _lattice(x, h, grid)[1] == stride
+        values = reflection_kde(x, h, grid).values
+        exact = exact_reflection_kde(x, h, grid)
+        # phi(0) / (8 * 32^2 * h) per kernel, two kernels a point
+        bound = 2.0 / (SQRT2PI * 8 * density._BINS_PER_H ** 2 * h)
+        assert np.abs(values - exact).max() <= bound
+        assert exact.max() > 100 * bound
+
+    @pytest.mark.parametrize("spacing,point,offset", [
+        (H / 32, 3, 0.5), (0.9 * H, 3, 0.5), (40 * H, 3, 0.5),
+        (50 * H, 4, -2.5),  # just below the last grid point in reach
+    ])
+    def test_an_atom_between_nodes_comes_near_the_bound(self, spacing, point,
+                                                         offset):
+        # one value repeated, half a node from a node and near a grid
+        # point: the worst case of the per-kernel bound, which smooth
+        # samples average away
+        h = self.H
+        stride = math.ceil(density._BINS_PER_H * spacing / h)
+        delta = spacing / stride
+        x = np.full(10_000, (point * stride + offset) * delta)
+        grid = spacing * np.arange(8)
+        assert _lattice(x, h, grid) == (delta, stride)
+        diff = np.abs(reflection_kde(x, h, grid).values
+                      - exact_reflection_kde(x, h, grid)).max()
+        per_kernel = 1.0 / (SQRT2PI * 8 * density._BINS_PER_H ** 2 * h)
+        assert 0.9 * per_kernel <= diff <= 2.0 * per_kernel
+
+    def test_zero_beyond_every_node_and_never_negative(self):
+        gen = np.random.default_rng(45)
+        # two clusters, 0.6 apart, with h = 0.005 (40 h = 0.2)
+        x = np.concatenate([gen.uniform(0.0, 0.2, 30_000),
+                            gen.uniform(0.8, 1.0, 30_000)])
+        h = 0.005
+        grid = np.linspace(0.0, 1.5, 301)
+        delta, _ = _lattice(x, h, grid)
+        values = reflection_kde(x, h, grid).values
+        lone = np.abs(grid[:, None] - x).min(axis=1) > 40 * h + delta
+        assert lone.sum() > 50 and (grid[lone] < 0.8).any()
+        assert (values[lone] == 0.0).all()
+        assert (values[~lone] >= 0.0).all()
+        assert (exact_reflection_kde(x, h, grid)[lone] == 0.0).all()
+        # positive wherever a node is within 37 h, short of the 38.6 h
+        # where a kernel term underflows
+        assert (values[np.abs(grid[:, None] - x).min(axis=1) <= 37 * h]
+                > 0.0).all()
+        classical = classical_kde(np.concatenate([x, -x]), h, grid)
+        assert (classical[lone] == 0.0).all() and (classical >= 0.0).all()
+
+    @pytest.mark.parametrize("spacing", [H / 32, 0.3 * H, 3.0 * H])
+    def test_twice_the_classical_kde_of_the_mirror(self, spacing):
+        x = np.abs(np.random.default_rng(46).standard_normal(40_000))
+        h = self.H
+        grid = spacing * np.arange(int(5.0 / spacing))
+        _lattice(x, h, grid)
+        est = reflection_kde(x, h, grid)
+        doubled = 2.0 * classical_kde(np.concatenate([x, -x]), h, grid)
+        assert np.abs(est.values - doubled).max() < 1e-12
+
+    def test_other_grids_keep_the_h_over_32_lattice(self):
+        x = np.random.default_rng(47).gamma(3.0, 1.0, 20_000)
+        h = self.H
+        for grid in (np.linspace(0.05, 10.0, 300),  # not from 0
+                     np.linspace(0.0, 10.0, 2000) ** 1.5,  # not equispaced
+                     (h / 40) * np.arange(400)):  # finer than h / 32
+            assert density._lattice_step(grid, h) is None
+            exact = exact_reflection_kde(x, h, grid)
+            diff = np.abs(reflection_kde(x, h, grid).values - exact).max()
+            assert diff <= 2.0 / (SQRT2PI * 8 * density._BINS_PER_H ** 2 * h)
 
 
 class TestBandwidths:

@@ -562,3 +562,81 @@ class TestValidateBody:
         )
         with pytest.raises(InvalidBody):
             sample_iur_sections(bad, 10, RngStream(0))
+
+
+def _masked_edge_sections(body, thetas, d):
+    """The edge-crossing kernel with its crossing parameters from a masked
+    divide, kept as the reference for the unmasked one in geometry."""
+    v = body.vertices
+    edges, incidence = body._edge_incidence
+    ia, ib = edges[:, 0], edges[:, 1]
+    pos = d >= 0.0
+    cross = np.subtract(pos[ia], pos[ib], dtype=float)
+    da, db = d[ia], d[ib]
+    t = np.divide(da, da - db, out=np.zeros_like(da), where=cross != 0.0)
+    if body.dim == 2:
+        tau = v[:, 1, None] * thetas[:, 0] - v[:, 0, None] * thetas[:, 1]
+        ta = tau[ia]
+        chord = (cross * (ta + t * (tau[ib] - ta))).sum(axis=0)
+        return np.maximum(chord, 0.0)
+    crossed = np.abs(cross)
+    va, dv = v[ia], v[ib] - v[ia]
+    q = np.empty((3,) + da.shape)
+    for k in range(3):
+        np.multiply(crossed, va[:, k, None], out=q[k])
+        q[k] += t * dv[:, k, None]
+    a = np.abs(incidence) @ q
+    b = incidence @ (cross * q)
+    det = (thetas[:, 0] * (a[1] * b[2] - a[2] * b[1])
+           + thetas[:, 1] * (a[2] * b[0] - a[0] * b[2])
+           + thetas[:, 2] * (a[0] * b[1] - a[1] * b[0]))
+    total = det[0].copy()
+    for row in det[1:]:
+        total += row
+    return np.maximum(-0.25 * total, 0.0)
+
+
+def _kernel_test_planes(body):
+    """Random planes, axis-aligned planes through every vertex height and
+    between them, and planes through a vertex in random directions, with
+    heights rounded as section_volumes rounds them."""
+    dim, v = body.dim, body.vertices
+    gen = np.random.default_rng(31)
+    dirs = [random_directions(dim, 4000, seed=32)]
+    offsets = [gen.uniform(-0.9, 0.9, 4000)]
+    for k in range(dim):
+        for sign in (1.0, -1.0):
+            theta = np.zeros(dim)
+            theta[k] = sign
+            levels = np.unique(v[:, k] * sign)
+            levels = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2,
+                                     [0.0, -0.0]])
+            dirs.append(np.broadcast_to(theta, (levels.size, dim)))
+            offsets.append(levels)
+    thetas = random_directions(dim, 300, seed=33)
+    heights = v[:, 0, None] * thetas[:, 0]
+    for k in range(1, dim):
+        heights += v[:, k, None] * thetas[:, k]
+    dirs.append(np.repeat(thetas, len(v), axis=0))
+    offsets.append(heights.T.ravel())
+    if dim == 3:
+        for extra in (_degenerate_planes(body), _touching_planes(body)):
+            dirs.append(extra[0])
+            offsets.append(extra[1])
+    return np.concatenate(dirs), np.concatenate(offsets)
+
+
+def test_unmasked_kernel_matches_masked_divide_bit_for_bit(
+        square, cube, dodecahedron, random_hull20, monkeypatch):
+    from sectionlab import geometry
+
+    for body in (square, builtin_body("polygon7"), cube, dodecahedron,
+                 random_hull20):
+        dirs, offsets = _kernel_test_planes(body)
+        fast = section_volumes(body, dirs, offsets)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_edge_sections", _masked_edge_sections)
+            reference = section_volumes(body, dirs, offsets)
+        # equal bits, signed zeros included
+        assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+        assert (fast == 0.0).any() and (fast > 0.0).any()

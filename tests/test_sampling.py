@@ -47,6 +47,18 @@ class TestDirections:
         with pytest.raises(ValueError):
             sample_directions(4, 10, RngStream(0))
 
+    def test_2d_directions_are_cos_and_sin_bit_for_bit(self):
+        from sectionlab.sampling import _directions_from_uniforms
+
+        u = np.random.default_rng(3).random((200_000, 2))
+        u[:8, 0] = [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 2.0 ** -53,
+                    1.0 - 2.0 ** -53]
+        dirs = _directions_from_uniforms(u)
+        phi = 2.0 * np.pi * u[:, 0]
+        expected = np.column_stack([np.cos(phi), np.sin(phi)])
+        assert dirs.shape == u.shape and dirs.flags.c_contiguous
+        assert np.array_equal(dirs.view(np.int64), expected.view(np.int64))
+
 
 class TestIurSampling:
     def test_ball_accepts_everything(self, ball3):

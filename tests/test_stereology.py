@@ -201,6 +201,38 @@ class TestLogLikelihood:
         # keeps np.where's result peaks at 3.1x
         assert peak <= 2.5 * kernel.nbytes
 
+    def test_mixture_kernel_blocks_keep_the_bits(self, ball_reference,
+                                                 monkeypatch):
+        from sectionlab import stereology
+
+        s_obs = np.linspace(0.01, 1.5, 37)
+        atoms = np.geomspace(0.2, 3.0, 11)
+        expected = ball_reference.evaluate(s_obs[:, None] / atoms) / atoms
+        assert np.array_equal(_mixture_kernel(s_obs, atoms, ball_reference),
+                              expected)
+        for block in (1, 30, 33):  # one row; 2 and 3 rows, a short last
+            monkeypatch.setattr(stereology, "_KERNEL_BLOCK", block)
+            kernel = _mixture_kernel(s_obs, atoms, ball_reference)
+            assert np.array_equal(kernel, expected)
+
+    def test_mixture_kernel_holds_one_block_beside_the_kernel(
+            self, ball_reference):
+        import tracemalloc
+
+        from sectionlab.stereology import _KERNEL_BLOCK
+
+        s_obs = np.linspace(0.01, 1.5, 1200)  # 11.5 MB, 23 blocks
+        tracemalloc.start()
+        try:
+            kernel = _mixture_kernel(s_obs, s_obs, ball_reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's values (8 bytes an entry) and two boolean masks; a
+        # build of the whole ratio array before the kernel peaks at 2.1x
+        assert peak <= kernel.nbytes + 12 * _KERNEL_BLOCK
+        assert peak <= 1.1 * kernel.nbytes
+
     def test_single_atom_reduces_to_plain_density(self):
         ref = triangular_reference()
         s_obs = np.array([0.3, 0.5, 0.9])
