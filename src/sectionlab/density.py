@@ -387,29 +387,22 @@ def _mirror_quartiles(x: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
     """``np.percentile(np.concatenate([x, -x]), [75, 25])``, bit for bit,
     from ``x`` alone.
 
-    Sorted, the mirror is y[k] = -xs[N-1-k] for k < N and xs[k-N]
-    otherwise, with xs the sorted sample.  ``buf`` receives a copy of x,
-    partitioned at the four order statistics that numpy's linear method
-    interpolates between, which it then combines with numpy's formula.
+    Sorted, the 2N-point mirror's top half is xs, the sorted sample, and
+    numpy's linear method puts its 75th percentile at rank (2N - 1) * 0.75
+    of the mirror, between xs[k] and xs[k + 1].  ``buf`` receives a copy
+    of x, partitioned at those two order statistics.  The rank's fraction
+    is 0.25 or 0.75, never 0.5, so numpy takes the 25th percentile with
+    the mirrored formula from the negated pair: it is exactly -q75.
     """
     n = x.size
-    ranks = []
-    for q in (0.75, 0.25):
-        virtual = (2 * n - 1) * q  # exact, as numpy computes it
-        k = math.floor(virtual)
-        ranks.append((k, k + 1, virtual - k))
+    virtual = (2 * n - 1) * 0.75  # exact, as numpy computes it
+    rank = math.floor(virtual)
+    k, t = rank - n, virtual - rank
     np.copyto(buf, x)
-    buf.partition(sorted({k - n if k >= n else n - 1 - k
-                          for k0, k1, _ in ranks for k in (k0, k1)}))
-
-    def order_statistic(k):
-        return float(buf[k - n]) if k >= n else -float(buf[n - 1 - k])
-
-    quartiles = []
-    for k0, k1, t in ranks:
-        a, b = order_statistic(k0), order_statistic(k1)
-        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-    return quartiles[0], quartiles[1]
+    buf.partition([k, k + 1])
+    a, b = float(buf[k]), float(buf[k + 1])
+    q75 = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    return q75, -q75
 
 
 def _pair_distance_counts(x: np.ndarray, nbins: int):

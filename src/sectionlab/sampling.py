@@ -8,13 +8,13 @@ section volumes are distributed like the volume of an IUR section.
 
 Proposals are sharded over ``workers`` independent substreams, each
 filling its own slice of one array in stream order.  Workers choose the
-streams, and so the values; the usable cores choose only the speed.
-Several shards run on a pool of at most one thread per core.  A lone shard
-on several cores queues each batch's sections in pieces for ``cores - 1``
-helper threads, draws and accept-tests its next batch meanwhile, and
-then computes the pieces still queued itself.  Each value has the same
-bits wherever a piece or chunk boundary falls, so a fixed worker count
-gives the same results on any core count and schedule.  Each proposal
+streams, and so the values; the usable cores choose only the speed.  The
+calling thread draws every shard's batches in turn and, on several cores,
+queues each batch's sections in pieces for ``cores - 1`` helper threads,
+draws and accept-tests the next batch meanwhile, from the same shard or
+the next, and then computes the pieces still queued itself.  Each value
+has the same bits wherever a piece or chunk boundary falls, so a fixed
+worker count gives the same results on any core count.  Each proposal
 consumes exactly ``dim`` uniforms from its stream, which makes the draws
 independent of the internal batch size.
 """
@@ -32,9 +32,9 @@ from .geometry import (ConvexBody, section_volumes, translate_body,
 from .rng import RngStream
 
 _BATCH = 1 << 15
-# a lone shard's batch goes to its helpers in this many pieces per core,
-# fine enough that the pieces still queued once the next batch is drawn,
-# which the drawing thread computes itself, balance the threads' work
+# each batch goes to the helpers in this many pieces per core, fine
+# enough that the pieces still queued once the next batch is drawn, which
+# the drawing thread computes itself, balance the threads' work
 _PIECES_PER_CORE = 4
 
 
@@ -107,8 +107,9 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     centroid-centered sphere before rejection sampling.  The values form
     ``min(workers, size)`` slices, the first ``size % workers`` one longer
     than the rest; slice ``w`` is drawn from substream ``rng.derive(w)``.
-    The work runs on at most one thread per usable core, so the values
-    depend on ``workers`` but not on the core count.
+    One thread draws the slices in turn, and the sections are computed on
+    every usable core, so the values depend on ``workers`` but not on the
+    core count.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -120,42 +121,29 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
 
     values = np.empty(size)
     shards = min(workers, size)
-    args = ([centered] * shards, [radius] * shards,
-            np.array_split(values, shards),  # views, longest first
-            [rng.derive(w) for w in range(shards)])
-    proposals = _run_shards(args, shards, len(os.sched_getaffinity(0)))
+    slices = np.array_split(values, shards)  # views, longest first
+    streams = [rng.derive(w) for w in range(shards)]
+    cores = len(os.sched_getaffinity(0))
+    if cores == 1:
+        proposals = _draw(centered, radius, slices, streams)
+    else:
+        # imported here: about 10 ms at start-up that serial runs never
+        # need.  Threads racing to fill the body's lazy caches compute
+        # equal arrays.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(cores - 1) as helpers:
+            proposals = _draw(centered, radius, slices, streams, helpers,
+                              _PIECES_PER_CORE * cores)
     return SectionSample(
         values=values,
-        n_proposed=sum(proposals),
+        n_proposed=proposals,
         n_accepted=size,
         seed=rng.seed,
         body_label=body.label,
         dim=body.dim,
         workers=workers,
     )
-
-
-def _run_shards(args, shards: int, cores: int) -> list[int]:
-    """Run ``_worker_draws`` over the shards' arguments on ``cores`` cores.
-
-    One core runs the shards in turn, and several shards run on a pool
-    of at most one thread per core.  A lone shard on several cores is
-    run by the calling thread, with ``cores - 1`` helper threads
-    computing its sections.
-    """
-    if cores == 1:
-        return list(map(_worker_draws, *args))
-    # imported here: about 10 ms at start-up that serial runs never need.
-    # Threads racing to fill the body's lazy caches compute equal arrays.
-    from concurrent.futures import ThreadPoolExecutor
-
-    if shards > 1:
-        with ThreadPoolExecutor(min(shards, cores)) as pool:
-            return list(pool.map(_worker_draws, *args))
-    with ThreadPoolExecutor(cores - 1) as helpers:
-        (body,), (radius,), (out,), (stream,) = args
-        return [_worker_draws(body, radius, out, stream, helpers,
-                              _PIECES_PER_CORE * cores)]
 
 
 def _fill(out, body, thetas, offsets) -> None:
@@ -175,39 +163,42 @@ def _finish(pieces) -> None:
             task.result()  # re-raises a helper's error
 
 
-def _worker_draws(body, radius, out, stream, helpers=None, split=1) -> int:
-    """Fill ``out`` with accepted section volumes; return the proposals.
+def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
+    """Fill each slice with accepted section volumes drawn from its
+    stream, in turn; return the proposals.
 
     With a pool of ``helpers``, each batch's sections are queued there in
     ``split`` pieces while this thread draws and accept-tests the next
-    batch; then it computes the pieces still queued itself.  At most one
-    batch is in flight, so memory stays bounded.
+    batch, from the same slice or the next; then it computes the pieces
+    still queued itself.  At most one batch is in flight, so memory stays
+    bounded.
     """
-    gen = stream.generator()
-    quota = len(out)
-    got, nprop = 0, 0
+    nprop = 0
     pieces = []
     # reused by every batch: with it and the stacked directions allocated
     # afresh, a cube batch freed more at once than glibc's dynamic trim
     # threshold, so its pages went back to the OS and were faulted in
     # again on every batch (7x the minor faults on 3e6 cube sections)
     u = np.empty((_BATCH, body.dim))
-    while got < quota:
-        thetas, offsets, proposed = _accepted_batch(gen, body, radius,
-                                                    quota - got, u)
-        nprop += proposed
-        dest = out[got:got + len(offsets)]
-        got += len(offsets)
-        if helpers is None:
-            _fill(dest, body, thetas, offsets)
-            continue
-        _finish(pieces)
-        pieces = []
-        piece = max(1, -(-len(offsets) // split))
-        for lo in range(0, len(offsets), piece):
-            args = (dest[lo:lo + piece], body, thetas[lo:lo + piece],
-                    offsets[lo:lo + piece])
-            pieces.append((helpers.submit(_fill, *args), args))
+    for out, stream in zip(slices, streams):
+        gen = stream.generator()
+        got = 0
+        while got < len(out):
+            thetas, offsets, proposed = _accepted_batch(
+                gen, body, radius, len(out) - got, u)
+            nprop += proposed
+            dest = out[got:got + len(offsets)]
+            got += len(offsets)
+            if helpers is None:
+                _fill(dest, body, thetas, offsets)
+                continue
+            _finish(pieces)
+            pieces = []
+            piece = max(1, -(-len(offsets) // split))
+            for lo in range(0, len(offsets), piece):
+                args = (dest[lo:lo + piece], body, thetas[lo:lo + piece],
+                        offsets[lo:lo + piece])
+                pieces.append((helpers.submit(_fill, *args), args))
     _finish(pieces)
     return nprop
 

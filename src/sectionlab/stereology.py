@@ -364,8 +364,14 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     and takes an Armijo backtracking step, so the log-likelihood never
     decreases.  ``converged`` is True only when the gap max_j D_j - 1 is
     at most ``tol``; after ``max_iter`` steps, or when no step gains, the
-    current fit is returned with ``converged`` False and its gap.
+    current fit is returned with ``converged`` False and its gap.  A
+    negative ``max_iter``, or a ``tol`` below 0 that no gap can reach (the
+    weighted mean of D over the support is 1), raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not tol >= 0:  # also catches NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
     if s_obs.size == 0:
         raise ValueError("no observations")

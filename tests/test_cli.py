@@ -232,6 +232,21 @@ class TestUnfoldCommand:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == error
 
+    @pytest.mark.parametrize("option", [["--max-iter", "-1"],
+                                        ["--tol", "-1"]])
+    def test_unreachable_stopping_rule_exits_3(self, runner, tmp_path,
+                                               option):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("0.5\n0.8\n1.1\n")
+        result = runner.invoke(main, ["unfold", "--observations", str(obs),
+                                      "--shape", "ball", "--n", "2000",
+                                      *option, "-o", str(tmp_path / "h.csv")])
+        assert result.exit_code == 3, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+        assert not (tmp_path / "h.csv").exists()
+
     def test_missing_observations(self, runner, tmp_path):
         result = runner.invoke(main, ["unfold", "--observations",
                                       str(tmp_path / "nope.csv"),

@@ -138,16 +138,19 @@ class TestIurSampling:
                                          workers=workers)
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [2]  # one thread per usable core, not per worker
+        # the calling thread draws every shard beside cores - 1 helpers
+        assert pools == [1]
         assert np.array_equal(pooled.values, serial.values)
         assert pooled.n_proposed == serial.n_proposed
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     def test_spare_cores_match_serial_loop(self, square, dodecahedron,
                                            monkeypatch, cores, workers):
-        # small batches, so that many batches are in flight and the
-        # drawing thread computes some pieces itself
+        # small batches, so that many batches are in flight, shard
+        # boundaries fall inside the pipeline and the drawing thread
+        # computes some pieces itself; every usable core computes
+        # sections for any shard count
         import concurrent.futures
         import os
         import sys
@@ -181,10 +184,9 @@ class TestIurSampling:
         for one, two in zip(serial, pooled):
             assert np.array_equal(one.values, two.values), one.body_label
             assert one.n_proposed == two.n_proposed
-        assert all(size <= cores for size in pools)
-        if cores > 1:
-            # the calling thread runs a lone shard beside cores - 1 helpers
-            assert pools == [cores - 1 if workers == 1 else workers] * 3
+        # the calling thread draws every shard beside cores - 1 helpers,
+        # and one core runs with no pool
+        assert pools == ([cores - 1] * 3 if cores > 1 else [])
 
     def test_helper_error_reaches_the_caller(self, cube, monkeypatch):
         import os
@@ -209,24 +211,28 @@ class TestIurSampling:
         monkeypatch.setattr(sampling, "section_volumes", faulty_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         before = set(threading.enumerate())
-        with pytest.raises(KernelFault):
-            sample_iur_sections(cube, 20000, RngStream(3))
-        assert raised_in and raised_in[0].startswith("ThreadPoolExecutor")
-        assert set(threading.enumerate()) == before  # no helper left running
+        for workers in (1, 2):
+            raised_in.clear()
+            with pytest.raises(KernelFault):
+                sample_iur_sections(cube, 20000, RngStream(3),
+                                    workers=workers)
+            assert raised_in[0].startswith("ThreadPoolExecutor"), workers
+            # no helper left running
+            assert set(threading.enumerate()) == before, workers
 
     def test_extra_sections_go_to_the_first_shards(self, cube):
         # 10 sections over 3 workers: slices of 4, 3 and 3 sections, drawn
         # from substreams 0, 1 and 2 and laid out in that order
         from sectionlab.geometry import translate_body
-        from sectionlab.sampling import _worker_draws
+        from sectionlab.sampling import _draw
 
         centered = translate_body(cube, -cube.centroid)
         radius = enclosing_radius(centered)
         slices, proposals = [], 0
         for w, quota in enumerate((4, 3, 3)):
             out = np.empty(quota)
-            proposals += _worker_draws(centered, radius, out,
-                                       RngStream(5).derive(w))
+            proposals += _draw(centered, radius, [out],
+                               [RngStream(5).derive(w)])
             slices.append(out)
         sample = sample_iur_sections(cube, 10, RngStream(5), workers=3)
         assert np.array_equal(sample.values, np.concatenate(slices))

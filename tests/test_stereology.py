@@ -377,6 +377,17 @@ class TestNpmleEm:
         assert not result.converged
         assert result.iterations == 5
 
+    @pytest.mark.parametrize("options", [{"max_iter": -1}, {"tol": -1.0},
+                                         {"tol": float("nan")}])
+    def test_rejects_unreachable_stopping_rules(self, ball3, ball_reference,
+                                                options):
+        # the loop stops only on iterations == max_iter, and a gap below 0
+        # is never reached: the weighted mean of D over the support is 1
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 50,
+                                     RngStream(15))
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            npmle_em(s_obs, ball_reference, **options)
+
     def test_rejects_nonpositive_observations(self, ball_reference):
         with pytest.raises(ZeroLocation):
             npmle_em(np.array([0.0, 1.0]), ball_reference)
