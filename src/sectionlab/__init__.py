@@ -22,7 +22,6 @@ from .errors import SectionLabError
 from .geometry import (
     ConvexBody,
     Hyperplane,
-    IntervalSupport,
     build_polytope,
     builtin_body,
     mean_width,

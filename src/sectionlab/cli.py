@@ -26,7 +26,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .bodies_io import load_body
 from .density import (
     empirical_cdf,
     estimate_root_density,
@@ -37,6 +36,7 @@ from .errors import SectionLabError, UnknownShape, ZeroLocation
 from .geometry import ConvexBody, builtin_body, scale_body, volume
 from .io import (
     density_metadata,
+    load_body,
     load_observations,
     save_density_csv,
     save_sample_csv,
@@ -46,10 +46,10 @@ from .io import (
 )
 from .rng import RngStream
 from .sampling import SectionSample, sample_iur_sections
-from .stereology import ReferenceDensity, npmle_em, unbias as unbias_cdf
+from .stereology import (ReferenceDensity, check_stopping_rule, npmle_em,
+                         unbias as unbias_cdf)
 from .validation import run_shape_checks
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INPUT = 3
 
@@ -266,6 +266,8 @@ def ecdf(config):
 def unfold(config):
     """Unfold a size distribution from observed section areas."""
     options = config.extra
+    # before the reference sample, which takes most of the run
+    check_stopping_rule(options["tol"], options["max_iter"])
     areas = load_observations(options["observations"])
     if areas.size == 0:
         raise ValueError("observations file is empty")

@@ -32,12 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    EmptySample,
-    NonPositiveBandwidth,
-    ZeroGridPoint,
-    ZeroVariance,
-)
+from .errors import EmptySample, NonPositiveBandwidth, ZeroVariance
 from .sampling import SectionSample
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -74,8 +69,7 @@ class DensityEstimate:
     def evaluate(self, z) -> np.ndarray:
         """Linear interpolation on the grid, 0 outside it."""
         z = np.asarray(z, dtype=float)
-        out = np.interp(z, self.grid, self.values, left=0.0, right=0.0)
-        return out
+        return np.interp(z, self.grid, self.values, left=0.0, right=0.0)
 
     def integral(self) -> float:
         """Trapezoid integral of the stored values over the grid."""
@@ -136,45 +130,36 @@ class StepCDF:
 # Transforms
 
 
-def root_transform(sample: SectionSample, copy: bool = True) -> np.ndarray:
+def root_transform(sample: SectionSample) -> np.ndarray:
     """(n-1)-th root of the section volumes: identity in 2D, sqrt in 3D.
 
-    In 2D the result is a copy unless ``copy`` is false; then it may be
-    the sample's own array, for callers that only read it.
+    In 2D the result is the sample's own array, which callers only read.
     """
     if sample.dim == 2:
-        values = np.asarray(sample.values, dtype=float)
-        return values.copy() if copy else values
+        return sample.values
     if sample.dim == 3:
         return np.sqrt(sample.values)
     raise ValueError("sample dimension must be 2 or 3")
 
 
-def untransform_density(estimate: DensityEstimate, dim: int,
-                        grid=None) -> DensityEstimate:
+def untransform_density(estimate: DensityEstimate,
+                        dim: int) -> DensityEstimate:
     """Change of variables from the root scale back to the volume scale.
 
     In 2D the two scales coincide.  In 3D the volume-scale density is
-    ``g(z) = g_root(sqrt(z)) / (2 sqrt(z))``, singular at z = 0, so the
-    requested grid must exclude 0; by default the squared root-scale grid
-    (without its zero point) is used so no interpolation error is added.
+    ``g(z) = g_root(sqrt(z)) / (2 sqrt(z))``, singular at z = 0; it is
+    given on the squared root-scale grid without its zero point, so no
+    interpolation error is added.
     """
     if estimate.transform != ROOT_SCALE:
         raise ValueError("input estimate must be on the root scale")
     if dim == 2:
-        grid = estimate.grid if grid is None else np.asarray(grid, dtype=float)
-        return replace(estimate, grid=grid.copy(),
-                       values=estimate.evaluate(grid), transform=VOLUME_SCALE)
+        return replace(estimate, grid=estimate.grid.copy(),
+                       values=estimate.evaluate(estimate.grid),
+                       transform=VOLUME_SCALE)
     if dim != 3:
         raise ValueError("dim must be 2 or 3")
-    if grid is None:
-        grid = estimate.grid[estimate.grid > 0.0] ** 2
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if (grid <= 0.0).any():
-            raise ZeroGridPoint(
-                "volume-scale grid must exclude 0 in 3D (density ~ 1/sqrt(z))"
-            )
+    grid = estimate.grid[estimate.grid > 0.0] ** 2
     roots = np.sqrt(grid)
     values = estimate.evaluate(roots) / (2.0 * roots)
     return replace(estimate, grid=grid, values=values, transform=VOLUME_SCALE)
@@ -538,11 +523,10 @@ def estimate_root_density(sample: SectionSample,
                           grid=None) -> DensityEstimate:
     """Root transform, bandwidth selection and reflection KDE in one step.
 
-    Nothing here writes to the sample, so 2D values are read in place.  A
-    caller that hands over its only reference to ``sample`` frees the 3D
+    A caller that hands over its only reference to ``sample`` frees the 3D
     section volumes once their roots exist.
     """
-    x = root_transform(sample, copy=False)
+    x = root_transform(sample)
     del sample
     if bandwidth is None:
         h, method = sheather_jones_bandwidth(x)

@@ -25,10 +25,6 @@ class ZeroVariance(SectionLabError):
     """Sample has zero variance, no data-driven bandwidth exists."""
 
 
-class ZeroGridPoint(SectionLabError):
-    """Volume-scale density in 3D is singular at z = 0."""
-
-
 class OutOfSupport(SectionLabError):
     """Argument lies outside the distribution's support."""
 

@@ -44,22 +44,6 @@ class Hyperplane:
         object.__setattr__(self, "direction", _check_direction(self.direction))
         object.__setattr__(self, "offset", float(self.offset))
 
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
-
-@dataclass(frozen=True)
-class IntervalSupport:
-    """Signed offset range [a, b] of a body along one direction."""
-
-    a: float
-    b: float
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
 
 @dataclass(eq=False)
 class ConvexBody:
@@ -226,6 +210,46 @@ def build_polytope(points, label: str = "polytope") -> ConvexBody:
     )
     return ConvexBody(dim=3, kind="polytope", vertices=verts,
                       facets=facets, label=label)
+
+
+def vertices_from_halfspaces(normals, offsets) -> np.ndarray:
+    """Enumerate the vertices of {x : n_i . x <= c_i}.
+
+    Requires a bounded, full-dimensional system; an interior point is
+    found as the Chebyshev center.
+    """
+    # imported here: only body files need scipy, which costs 0.5 s to load
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:
+        raise DegenerateInput("normals and offsets have mismatched shapes")
+    dim = normals.shape[1]
+    norms = np.linalg.norm(normals, axis=1)
+    if (norms == 0).any():
+        raise DegenerateInput("half-space normals must be nonzero")
+
+    # Chebyshev center: maximize r with n.x + ||n|| r <= c
+    cost = np.zeros(dim + 1)
+    cost[-1] = -1.0
+    a_ub = np.column_stack([normals, norms])
+    res = linprog(cost, A_ub=a_ub, b_ub=offsets,
+                  bounds=[(None, None)] * dim + [(0, None)], method="highs")
+    if not res.success or res.x[-1] <= 1e-12:
+        raise DegenerateInput("half-space system is empty or not full-dimensional")
+    interior = res.x[:dim]
+
+    halfspaces = np.column_stack([normals, -offsets])
+    try:
+        hs = HalfspaceIntersection(halfspaces, interior)
+    except QhullError as exc:
+        raise DegenerateInput(f"vertex enumeration failed: {exc}") from exc
+    points = hs.intersections
+    if not np.isfinite(points).all():
+        raise DegenerateInput("half-space system is unbounded")
+    return points
 
 
 def _merge_coplanar_facets(points, hull) -> list[tuple]:
@@ -446,14 +470,14 @@ def volume(body: ConvexBody) -> float:
     return body._moments[0]
 
 
-def support_interval(body: ConvexBody, theta) -> IntervalSupport:
-    """Offset range [a, b] with b - a the width of the body along theta."""
+def support_interval(body: ConvexBody, theta) -> tuple[float, float]:
+    """Offset range (a, b) with b - a the width of the body along theta."""
     theta = _check_direction(theta)
     if body.kind == "ball":
         c = float(body.center @ theta)
-        return IntervalSupport(c - body.radius, c + body.radius)
+        return c - body.radius, c + body.radius
     d = body.vertices @ theta
-    return IntervalSupport(float(d.min()), float(d.max()))
+    return float(d.min()), float(d.max())
 
 
 def section_volume(body: ConvexBody, plane: Hyperplane) -> float:

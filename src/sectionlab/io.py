@@ -1,4 +1,11 @@
-"""Data files: section samples, density estimates, step CDFs, observations.
+"""Data files: bodies, section samples, density estimates, step CDFs,
+observations.
+
+A body is read from JSON in one of three encodings: a vertex list (the
+points whose hull is the body; a ``facets`` key is ignored, since the
+hull is rebuilt), a half-space system {normals, offsets} with interior
+{x : n_i . x <= c_i}, converted by vertex enumeration, or a ball
+{kind: "ball", center, radius}.
 
 Every CSV shares one layout: ``# key: value`` header lines (a dict value
 is written as sorted-key JSON), an optional line naming the columns, then
@@ -13,6 +20,8 @@ import json
 import numpy as np
 
 from .density import DensityEstimate, StepCDF
+from .errors import DegenerateInput
+from .geometry import ConvexBody, build_polytope, vertices_from_halfspaces
 from .sampling import SectionSample
 
 _SAMPLE_FIELDS = ("body_label", "dim", "seed", "n_proposed", "n_accepted",
@@ -61,6 +70,35 @@ def read_csv(path, width: int, names: str | None = None
                 rows.append(line)
     values = [float(f) for row in rows for f in row.split(",")]
     return header, np.array(values, dtype=float).reshape(-1, width)
+
+
+# ---------------------------------------------------------------------------
+# Bodies
+
+
+def body_from_dict(data: dict, label: str | None = None) -> ConvexBody:
+    name = label or data.get("label", "body")
+    if data.get("kind") == "ball":
+        center = np.asarray(data["center"], dtype=float)
+        radius = float(data["radius"])
+        if radius <= 0:
+            raise DegenerateInput("ball radius must be positive")
+        return ConvexBody(dim=len(center), kind="ball", center=center,
+                          radius=radius, label=name)
+    if "normals" in data:
+        points = vertices_from_halfspaces(data["normals"], data["offsets"])
+        return build_polytope(points, label=name)
+    if "vertices" in data:
+        return build_polytope(np.asarray(data["vertices"], dtype=float),
+                              label=name)
+    raise DegenerateInput(
+        "body JSON needs 'vertices', 'normals'/'offsets', or kind 'ball'"
+    )
+
+
+def load_body(path, label: str | None = None) -> ConvexBody:
+    with open(path) as fh:
+        return body_from_dict(json.load(fh), label=label)
 
 
 # ---------------------------------------------------------------------------

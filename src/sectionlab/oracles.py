@@ -1,7 +1,7 @@
 """Closed-form reference distributions used for validation.
 
-Two exist in closed form: the chord length density of the unit square,
-and the section law of a ball of radius r.  For a fixed direction the
+Two exist in closed form: the chord length law of the unit square, and
+the section law of a ball of radius r.  For a fixed direction the
 offset s is uniform on (0, r), so the CDF inverts analytically: the
 disk's chord 2 sqrt(r^2 - s^2) has CDF 1 - sqrt(1 - (c / 2r)^2), and the
 3D ball's area pi (r^2 - s^2) has CDF 1 - sqrt(1 - a / (pi r^2)).
@@ -35,6 +35,17 @@ def square_chord_density(z):
     if upper.any():
         zu = z[upper]
         out[upper] = 1.0 / (zu * zu * np.sqrt(zu * zu - 1.0)) - 0.5
+    return out if out.ndim else float(out)
+
+
+def square_chord_cdf(z):
+    """Chord length CDF of the unit square, the antiderivative of
+    ``square_chord_density``: z/2 on [0, 1], then 1/2 + sqrt(z^2 - 1)/z
+    - (z - 1)/2 up to sqrt(2); 0 below the support and 1 above it."""
+    z = np.asarray(z, dtype=float)
+    safe = np.clip(z, 1.0, SQUARE_CHORD_SUPPORT)
+    upper = 0.5 + np.sqrt(safe * safe - 1.0) / safe - (safe - 1.0) / 2.0
+    out = np.clip(np.where(z <= 1.0, z / 2.0, upper), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 

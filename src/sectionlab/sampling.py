@@ -206,8 +206,11 @@ def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
 def _accepted_batch(gen, body, radius, wanted, u):
     """Directions and offsets of one batch's accepted planes, at most
     ``wanted`` of them, and the proposals that delivered them.  The
-    batch's uniforms are drawn into ``u``."""
+    uniforms go into at most ``2 * wanted`` rows of ``u``: every builtin
+    body accepts at least 0.82 of its proposals, so one such batch usually
+    fills the shard."""
     dim = body.dim
+    u = u[:2 * wanted]
     gen.random(out=u)
     thetas = _directions_from_uniforms(u)
     offsets = radius * u[:, dim - 1]
@@ -221,7 +224,7 @@ def _accepted_batch(gen, body, radius, wanted, u):
                 & (offsets <= heights.max(axis=0)))
     i = np.flatnonzero(hits)[:wanted]
     # stop at the proposal delivering the last needed acceptance
-    proposed = _BATCH if i.size < wanted else int(i[-1]) + 1
+    proposed = len(u) if i.size < wanted else int(i[-1]) + 1
     return np.take(thetas, i, axis=0), np.take(offsets, i), proposed
 
 

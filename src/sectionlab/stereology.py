@@ -350,6 +350,15 @@ def _passive_solution(r, rb, passive) -> np.ndarray | None:
     return z
 
 
+def check_stopping_rule(tol: float, max_iter: int) -> None:
+    """Raise ValueError on a negative ``max_iter``, or on a ``tol`` below 0
+    that no gap can reach (the weighted mean of D over the support is 1)."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not tol >= 0:  # also catches NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
              max_iter: int = 20000) -> UnfoldResult:
     """Certified nonparametric MLE of the biased size distribution.
@@ -364,14 +373,10 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     and takes an Armijo backtracking step, so the log-likelihood never
     decreases.  ``converged`` is True only when the gap max_j D_j - 1 is
     at most ``tol``; after ``max_iter`` steps, or when no step gains, the
-    current fit is returned with ``converged`` False and its gap.  A
-    negative ``max_iter``, or a ``tol`` below 0 that no gap can reach (the
-    weighted mean of D over the support is 1), raises ValueError.
+    current fit is returned with ``converged`` False and its gap.  The
+    stopping rule is checked first (``check_stopping_rule``).
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not tol >= 0:  # also catches NaN
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_stopping_rule(tol, max_iter)
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
     if s_obs.size == 0:
         raise ValueError("no observations")

@@ -8,13 +8,14 @@ acceptance suite; at other sizes they scale with the Monte Carlo error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracles
-from .density import empirical_cdf, estimate_root_density
+from .density import empirical_cdf
 from .geometry import (
     ConvexBody,
     Hyperplane,
@@ -43,10 +44,6 @@ KS_TWO_SAMPLE_LIMIT = 0.0122
 KS_REFERENCE_N = 100_000
 INVARIANCE_TRIALS = 20
 INVARIANCE_MIN_PASSES = 18
-
-
-def _ks_limit(n: int) -> float:
-    return KS_TWO_SAMPLE_LIMIT * math.sqrt(KS_REFERENCE_N / n)
 
 
 @dataclass
@@ -90,37 +87,26 @@ def ks_vs_cdf(x, cdf) -> float:
 # Oracle comparisons
 
 
-def check_ball_section_law(body: ConvexBody,
-                           sample: SectionSample) -> CheckResult:
-    """ECDF of a ball's section volumes against their analytic CDF."""
+def _closed_form_law(body: ConvexBody):
+    """The body's section volume CDF where it is known in closed form, else
+    None: a ball's by its kind, the unit square's for a body labelled
+    ``square``."""
+    if body.kind == "ball":
+        return functools.partial(oracles.ball_section_cdf,
+                                 radius=body.radius, dim=body.dim)
+    if body.label == "square":
+        return oracles.square_chord_cdf
+    return None
+
+
+def check_section_law(sample: SectionSample, cdf) -> CheckResult:
+    """KS distance of the sample's section volumes from a closed-form CDF,
+    against the threshold 5 / sqrt(n)."""
     n = sample.values.size
-    stat = ks_vs_cdf(sample.values, lambda a: oracles.ball_section_cdf(
-        a, body.radius, body.dim))
+    stat = ks_vs_cdf(sample.values, cdf)
     threshold = 5.0 / math.sqrt(n)
-    return CheckResult("ball_section_law", stat <= threshold, stat, threshold,
+    return CheckResult("section_law", stat <= threshold, stat, threshold,
                        f"n={n}")
-
-
-def check_square_chord_density(body: ConvexBody,
-                               sample: SectionSample) -> CheckResult:
-    """KDE of a body's chord lengths against the unit square's density.
-
-    The true density has an integrable singularity as the chord length
-    decreases to the side length 1, which no fixed-bandwidth estimate can
-    track pointwise; the asserted statistic therefore excludes the window
-    |z - 1| <= 0.15 and the full-grid supremum is reported as detail.
-    """
-    n = sample.values.size
-    estimate = estimate_root_density(sample)
-    grid = np.linspace(0.05, 1.35, 512)
-    err = np.abs(estimate.evaluate(grid) - oracles.square_chord_density(grid))
-    sup_all = float(err.max())
-    sup_away = float(err[np.abs(grid - 1.0) > 0.15].max())
-    threshold = 0.08 * math.sqrt(1e6 / n)
-    return CheckResult(
-        "square_chord_density", sup_away <= threshold, sup_away, threshold,
-        f"n={n} sup including singular window={sup_all:.3g}",
-    )
 
 
 def check_acceptance_rate(body: ConvexBody,
@@ -165,8 +151,7 @@ def check_brunn_concavity(body: ConvexBody, seed: int = 0) -> CheckResult:
     """Root-transformed parallel section volumes are midpoint concave on
     1000 equispaced offsets across the support."""
     theta = sample_directions(body.dim, 1, RngStream(seed))[0]
-    sup = support_interval(body, theta)
-    grid = np.linspace(sup.a, sup.b, 1000)
+    grid = np.linspace(*support_interval(body, theta), 1000)
     vols = section_volumes(
         body, np.broadcast_to(theta, (grid.size, body.dim)), grid)
     f = vols ** (1.0 / (body.dim - 1))
@@ -193,7 +178,7 @@ def check_invariances(body: ConvexBody, n: int = 100_000,
     """
     names = ("translation_invariance", "rotation_invariance",
              "scaling_relation")
-    limit = _ks_limit(n)
+    limit = KS_TWO_SAMPLE_LIMIT * math.sqrt(KS_REFERENCE_N / n)
     passes, worst = [0, 0, 0], [0.0, 0.0, 0.0]
     for t in range(trials):
         shift, turn, size = (RngStream(seed, stream_id).derive(t).generator()
@@ -251,15 +236,14 @@ def run_shape_checks(body: ConvexBody, n: int, seed: int,
 
     The body's ``n`` sections are drawn from stream ``seed`` once and
     shared by the checks that test its section law; every sample is
-    drawn over ``workers`` streams.  The square oracle applies to a body
-    labelled ``square``.
+    drawn over ``workers`` streams.  The sample's law is checked where
+    ``_closed_form_law`` knows it; a ball gets that check only.
     """
     sample = sample_iur_sections(body, n, RngStream(seed), workers=workers)
+    law = _closed_form_law(body)
+    results = [] if law is None else [check_section_law(sample, law)]
     if body.kind == "ball":
-        return [check_ball_section_law(body, sample)]
-    results = []
-    if body.label == "square":
-        results.append(check_square_chord_density(body, sample))
+        return results
     results.append(check_acceptance_rate(body, sample))
     results.append(check_section_oracle(body, min(2000, n), seed))
     results.append(check_brunn_concavity(body, seed))

@@ -1,15 +1,13 @@
+"""Body JSON files, read by ``sectionlab.io``."""
+
 import json
 
 import numpy as np
 import pytest
 
-from sectionlab.bodies_io import (
-    body_from_dict,
-    load_body,
-    vertices_from_halfspaces,
-)
 from sectionlab.errors import DegenerateInput
-from sectionlab.geometry import build_polytope, volume
+from sectionlab.geometry import build_polytope, vertices_from_halfspaces, volume
+from sectionlab.io import body_from_dict, load_body
 
 SQUARE = {"kind": "polytope", "dim": 2, "label": "square",
           "vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}

@@ -233,9 +233,16 @@ class TestUnfoldCommand:
         assert payload["error"] == error
 
     @pytest.mark.parametrize("option", [["--max-iter", "-1"],
-                                        ["--tol", "-1"]])
+                                        ["--tol", "-1"], ["--tol", "nan"]])
     def test_unreachable_stopping_rule_exits_3(self, runner, tmp_path,
-                                               option):
+                                               monkeypatch, option):
+        from sectionlab.stereology import ReferenceDensity
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reference is sampled first")
+
+        # checked before the reference sample, which takes most of a run
+        monkeypatch.setattr(ReferenceDensity, "from_body", unreachable)
         obs = tmp_path / "obs.csv"
         obs.write_text("0.5\n0.8\n1.1\n")
         result = runner.invoke(main, ["unfold", "--observations", str(obs),
@@ -259,7 +266,7 @@ class TestValidateCommand:
     def test_ball_passes(self, runner):
         result = run_ok(runner, ["validate", "--shape", "ball",
                                  "--n", "200000"])
-        assert "PASS ball_section_law" in result.output
+        assert "PASS section_law" in result.output
 
     def test_cube_suite(self, runner):
         result = run_ok(runner, ["validate", "--shape", "cube",
@@ -282,14 +289,14 @@ class TestValidateCommand:
         disk.write_text('{"kind": "ball", "center": [0, 0], "radius": 1}')
         result = run_ok(runner, ["validate", "--shape", str(disk),
                                  "--n", "20000", "--seed", "6"])
-        from sectionlab.bodies_io import load_body
+        from sectionlab.io import load_body
         from sectionlab.sampling import sample_iur_sections
         from sectionlab.validation import ks_vs_cdf
 
         chords = sample_iur_sections(load_body(disk), 20000,
                                      RngStream(6)).values
         stat = ks_vs_cdf(chords, lambda c: 1.0 - (1.0 - c * c / 4.0) ** 0.5)
-        assert f"PASS ball_section_law: statistic={stat:.6g} " in result.output
+        assert f"PASS section_law: statistic={stat:.6g} " in result.output
 
     def test_square_oracle_tests_the_validated_body(self, runner, tmp_path):
         # a triangle labelled "square" by its file name
@@ -298,7 +305,17 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", "--shape", str(fake),
                                       "--n", "50000", "--trials", "1"])
         assert result.exit_code == 2, result.output
-        assert "FAIL square_chord_density" in result.output
+        assert "FAIL section_law" in result.output
+
+    def test_square_law_fails_a_larger_square(self, runner, tmp_path):
+        # chords up to 2 sqrt(2), beyond the unit square's support: a
+        # failed check, not an input error
+        big = tmp_path / "square.json"
+        big.write_text('{"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}')
+        result = runner.invoke(main, ["validate", "--shape", str(big),
+                                      "--n", "20000", "--trials", "1"])
+        assert result.exit_code == 2, result.output
+        assert "FAIL section_law" in result.output
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one(self, runner, trials):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from sectionlab.errors import OutOfSupport
 from sectionlab.oracles import (
     ball_section_cdf,
+    square_chord_cdf,
     square_chord_density,
 )
 
@@ -42,6 +43,19 @@ class TestSquareChordDensity:
         vals = square_chord_density(z)
         assert vals.shape == (4,)
         assert vals[0] == 0.5
+
+
+class TestSquareChordCdf:
+    @pytest.mark.parametrize("z", [0.3, 1.0, 1.0001, 1.2, 1.4])
+    def test_integrates_the_density(self, z):
+        total, _ = quad(square_chord_density, 0.0, z,
+                        points=[1.0] if z > 1.0 else None, limit=200)
+        assert square_chord_cdf(z) == pytest.approx(total, abs=1e-9)
+
+    def test_ends_of_the_support(self):
+        assert square_chord_cdf(0.0) == 0.0
+        assert square_chord_cdf(math.sqrt(2.0)) == 1.0
+        assert np.array_equal(square_chord_cdf([-1.0, 2.0]), [0.0, 1.0])
 
 
 class TestBallSectionCdf:

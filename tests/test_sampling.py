@@ -10,6 +10,7 @@ from sectionlab.io import (
     save_sample_csv,
     save_sample_json,
 )
+from sectionlab.oracles import square_chord_cdf
 from sectionlab.rng import RngStream
 from sectionlab.sampling import (
     SectionSample,
@@ -97,12 +98,30 @@ class TestIurSampling:
         from sectionlab.geometry import builtin_body
 
         bodies = (cube, dodecahedron, builtin_body("polygon7"))
-        first = [sample_iur_sections(b, 20000, RngStream(42)) for b in bodies]
+        runs = [(b, w) for b in bodies for w in (1, 997)]
+        first = [sample_iur_sections(b, 20000, RngStream(42), workers=w)
+                 for b, w in runs]
         monkeypatch.setattr(sampling, "_BATCH", 311)
-        for body, one in zip(bodies, first):
-            two = sample_iur_sections(body, 20000, RngStream(42))
+        for (body, workers), one in zip(runs, first):
+            two = sample_iur_sections(body, 20000, RngStream(42),
+                                      workers=workers)
             assert np.array_equal(one.values, two.values), body.label
             assert one.n_proposed == two.n_proposed
+
+    def test_batches_sized_from_the_quota(self, cube, monkeypatch):
+        # one section per shard: about two proposals each, not a full batch
+        import sectionlab.sampling as sampling
+
+        rows = []
+        real = sampling._directions_from_uniforms
+
+        def spy(u):
+            rows.append(len(u))
+            return real(u)
+
+        monkeypatch.setattr(sampling, "_directions_from_uniforms", spy)
+        sample_iur_sections(cube, 997, RngStream(3), workers=997)
+        assert sum(rows) <= 8 * 997
 
     def test_worker_merge_reproducible(self, cube):
         one = sample_iur_sections(cube, 2000, RngStream(42), workers=4)
@@ -264,19 +283,10 @@ class TestIurSampling:
 class TestSectionLaws:
     def test_square_chords_match_analytic_cdf(self, square):
         """End-to-end distributional check against the closed-form chord
-        law (antiderivative of the density oracle, verified by quadrature
-        in the oracle tests): G(z) = z/2 below 1, then
-        1/2 + sqrt(z^2-1)/z - (z-1)/2.
-        """
-
-        def chord_cdf(z):
-            z = np.asarray(z, dtype=float)
-            safe = np.where(z > 1.0, z, 2.0)
-            upper = 0.5 + np.sqrt(safe * safe - 1.0) / safe - (safe - 1.0) / 2.0
-            return np.clip(np.where(z <= 1.0, z / 2.0, upper), 0.0, 1.0)
-
+        law, the antiderivative of the density oracle (checked by
+        quadrature in the oracle tests)."""
         sample = sample_iur_sections(square, 1_000_000, RngStream(1))
-        assert ks_vs_cdf(sample.values, chord_cdf) < 0.003
+        assert ks_vs_cdf(sample.values, square_chord_cdf) < 0.003
 
     def test_full_sphere_matches_hemisphere_parameterization(self, cube):
         """Directions on the full sphere with offsets in (0, R) define the

@@ -4,12 +4,13 @@ import scipy.stats
 
 import sectionlab.validation as validation
 from sectionlab.geometry import builtin_body
+from sectionlab.oracles import ball_section_cdf
 from sectionlab.rng import RngStream
 from sectionlab.sampling import sample_iur_sections
 from sectionlab.validation import (
-    check_ball_section_law,
     check_brunn_concavity,
     check_inclusion_bound,
+    check_section_law,
     check_section_oracle,
     ks_two_sample,
     ks_vs_cdf,
@@ -42,7 +43,7 @@ class TestChecks:
     def test_ball_law_small(self):
         ball = builtin_body("ball")
         sample = sample_iur_sections(ball, 100_000, RngStream(0))
-        result = check_ball_section_law(ball, sample)
+        result = check_section_law(sample, ball_section_cdf)
         assert result.passed, result.line()
 
     def test_brunn(self, dodecahedron):
@@ -60,7 +61,7 @@ class TestChecks:
     def test_line_format(self):
         ball = builtin_body("ball")
         sample = sample_iur_sections(ball, 10_000, RngStream(0))
-        result = check_ball_section_law(ball, sample)
+        result = check_section_law(sample, ball_section_cdf)
         line = result.line()
         assert line.startswith(("PASS", "FAIL"))
         assert "statistic=" in line
@@ -85,3 +86,13 @@ class TestShapeChecks:
         keys = [(id(body), rng) for body, rng in calls]  # bodies held alive
         assert len(set(keys)) == len(keys)
         assert len(calls) == 1 + 4 * trials
+
+    @pytest.mark.parametrize("shape,has_law", [("square", True),
+                                               ("ball", True),
+                                               ("cube", False)])
+    def test_section_law_where_closed_form(self, shape, has_law):
+        names = [r.name for r in run_shape_checks(builtin_body(shape), 5000,
+                                                  2, trials=1)]
+        assert ("section_law" in names) == has_law
+        if shape == "ball":
+            assert names == ["section_law"]
