@@ -6,6 +6,14 @@ nonparametric unfolding of particle size distributions from observed
 section profiles.
 """
 
+import os
+
+# One BLAS thread unless the user sets a count (read when numpy is first
+# imported): more only spin on EM's small products and change their rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .density import (
     DensityEstimate,
     StepCDF,

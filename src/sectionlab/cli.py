@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,7 +31,7 @@ from .density import (
     root_transform,
     untransform_density,
 )
-from .errors import SectionLabError, UnknownShape, ZeroLocation
+from .errors import SectionLabError, UnknownShape
 from .geometry import ConvexBody, builtin_body, scale_body, volume
 from .io import (
     density_metadata,
@@ -46,14 +45,12 @@ from .io import (
 )
 from .rng import RngStream
 from .sampling import SectionSample, sample_iur_sections
-from .stereology import (ReferenceDensity, check_stopping_rule, npmle_em,
-                         unbias as unbias_cdf)
+from .stereology import (ReferenceDensity, check_observations,
+                         check_stopping_rule, npmle_em, unbias as unbias_cdf)
 from .validation import run_shape_checks
 
 EXIT_VALIDATION = 2
 EXIT_INPUT = 3
-
-_BUILTIN_PREFIXES = ("square", "cube", "dodecahedron", "ball", "polygon")
 
 
 @dataclass
@@ -95,8 +92,6 @@ def _command(command):
         extra = {k: v for k, v in options.items() if k not in _CONFIG_FIELDS}
         config = RunConfig(command=command.__name__, extra=extra, **known)
         try:
-            if config.workers is None:
-                config.workers = _workers_from_env()
             return command(config)
         except (SectionLabError, ValueError, OSError, ImportError,
                 MemoryError) as exc:
@@ -106,27 +101,14 @@ def _command(command):
     return run
 
 
-def _workers_from_env() -> int:
-    """``SECTION_LAB_WORKERS`` as an integer, 1 when it is unset."""
-    raw = os.environ.get("SECTION_LAB_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("SECTION_LAB_WORKERS must be an integer, got "
-                         f"{raw!r}") from None
-
-
 def resolve_shape(shape: str, normalize_volume: bool) -> ConvexBody:
-    """Builtin name or path to a body JSON file."""
-    lowered = shape.lower()
-    if lowered.startswith(_BUILTIN_PREFIXES) and not os.path.exists(shape):
-        try:
-            return builtin_body(lowered, normalize_volume=normalize_volume)
-        except ValueError as exc:
-            raise UnknownShape(str(exc)) from exc
+    """Path to a body JSON file, or else a builtin name."""
     path = Path(shape)
     if not path.exists():
-        raise UnknownShape(f"{shape!r} is not a builtin shape or a file")
+        try:
+            return builtin_body(shape, normalize_volume=normalize_volume)
+        except ValueError as exc:
+            raise UnknownShape(f"{shape!r} is not a file, and {exc}") from exc
     body = load_body(path, label=path.stem)
     if normalize_volume:
         body = scale_body(body, volume(body) ** (-1.0 / body.dim))
@@ -149,9 +131,8 @@ def _sample(body: ConvexBody, config: RunConfig) -> SectionSample:
 def _common_options(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Base seed of the random streams.")(fn)
-    fn = click.option("--workers", type=int, default=None,
-                      help="Worker stream count (default from "
-                           "SECTION_LAB_WORKERS, else 1).")(fn)
+    fn = click.option("--workers", type=int, default=1, show_default=True,
+                      help="Worker stream count.")(fn)
     fn = click.option("--normalize-volume", is_flag=True, default=False,
                       help="Scale the shape to volume 1 first.")(fn)
     return fn
@@ -200,8 +181,7 @@ def density(config):
     if config.grid_points is not None and config.grid_points < 16:
         raise ValueError("--grid-points must be >= 16")
     body = _body(config)
-    # the sample is handed over, not kept: in 3D its volumes go once the
-    # roots exist
+    # handed over, not kept: in 3D the volumes go once the roots exist
     estimate = estimate_root_density(_sample(body, config),
                                      grid_points=config.grid_points,
                                      bandwidth=config.bandwidth)
@@ -269,10 +249,7 @@ def unfold(config):
     # before the reference sample, which takes most of the run
     check_stopping_rule(options["tol"], options["max_iter"])
     areas = load_observations(options["observations"])
-    if areas.size == 0:
-        raise ValueError("observations file is empty")
-    if not (np.isfinite(areas) & (areas > 0)).all():
-        raise ZeroLocation("observations must be finite and positive")
+    check_observations(areas)
     body = _body(config)
     reference = ReferenceDensity.from_body(body, size=config.n,
                                            rng=RngStream(config.seed),

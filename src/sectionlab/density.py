@@ -519,8 +519,7 @@ def empirical_cdf(x) -> StepCDF:
 
 def estimate_root_density(sample: SectionSample,
                           grid_points: int | None = None,
-                          bandwidth: float | None = None,
-                          grid=None) -> DensityEstimate:
+                          bandwidth: float | None = None) -> DensityEstimate:
     """Root transform, bandwidth selection and reflection KDE in one step.
 
     A caller that hands over its only reference to ``sample`` frees the 3D
@@ -532,9 +531,8 @@ def estimate_root_density(sample: SectionSample,
         h, method = sheather_jones_bandwidth(x)
     else:
         h, method = float(bandwidth), "fixed"
-    if grid is None:
-        grid = default_grid(x, h, grid_points)
-    return reflection_kde(x, h, grid, bandwidth_method=method)
+    return reflection_kde(x, h, default_grid(x, h, grid_points),
+                          bandwidth_method=method)
 
 
 # Kept for the benchmark, which binds these names here (the

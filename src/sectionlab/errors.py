@@ -34,7 +34,7 @@ class InfiniteMean(SectionLabError):
 
 
 class ZeroLocation(SectionLabError):
-    """Step CDF locations must be strictly positive."""
+    """Step CDF location <= 0, or an observation not finite and positive."""
 
 
 class AllZeroLikelihood(SectionLabError):

@@ -214,15 +214,14 @@ def _accepted_batch(gen, body, radius, wanted, u):
     gen.random(out=u)
     thetas = _directions_from_uniforms(u)
     offsets = radius * u[:, dim - 1]
+    # offsets are >= 0 and the centroid is interior, so a plane meets the
+    # body when its offset is at most the support.  The BLAS product's
+    # rounding depends on the batch, so section_volumes does not reuse it.
     if body.kind == "ball":
-        hits = offsets <= body.radius  # always true: radius == R
+        support = body.radius  # always hit: radius == R
     else:
-        # a fast BLAS product only decides acceptance: its rounding
-        # depends on the batch, so section_volumes does not reuse it
-        heights = body.vertices @ thetas.T
-        hits = ((offsets >= heights.min(axis=0))
-                & (offsets <= heights.max(axis=0)))
-    i = np.flatnonzero(hits)[:wanted]
+        support = (body.vertices @ thetas.T).max(axis=0)
+    i = np.flatnonzero(offsets <= support)[:wanted]
     # stop at the proposal delivering the last needed acceptance
     proposed = len(u) if i.size < wanted else int(i[-1]) + 1
     return np.take(thetas, i, axis=0), np.take(offsets, i), proposed

@@ -179,11 +179,8 @@ class ReferenceDensity:
             )
 
     @classmethod
-    def from_body(cls, body: ConvexBody, size: int = 1_000_000,
-                  rng: RngStream | None = None,
+    def from_body(cls, body: ConvexBody, size: int, rng: RngStream,
                   workers: int = 1) -> "ReferenceDensity":
-        if rng is None:
-            rng = RngStream(0)
         # handed over, not kept: in 3D the volumes go once the roots exist
         return cls(estimate_root_density(
             sample_iur_sections(body, size, rng, workers=workers)))
@@ -359,6 +356,15 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
 
+def check_observations(values: np.ndarray) -> None:
+    """Raise ValueError on an empty array, ZeroLocation on a value that is
+    not finite and positive."""
+    if values.size == 0:
+        raise ValueError("no observations")
+    if not (np.isfinite(values) & (values > 0)).all():
+        raise ZeroLocation("observations must be finite and positive")
+
+
 def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
              max_iter: int = 20000) -> UnfoldResult:
     """Certified nonparametric MLE of the biased size distribution.
@@ -374,14 +380,11 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     decreases.  ``converged`` is True only when the gap max_j D_j - 1 is
     at most ``tol``; after ``max_iter`` steps, or when no step gains, the
     current fit is returned with ``converged`` False and its gap.  The
-    stopping rule is checked first (``check_stopping_rule``).
+    stopping rule and the observations are checked first.
     """
     check_stopping_rule(tol, max_iter)
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
-    if s_obs.size == 0:
-        raise ValueError("no observations")
-    if not (s_obs > 0).all():  # also catches NaN
-        raise ZeroLocation("observations must be strictly positive")
+    check_observations(s_obs)
     atoms = np.unique(s_obs)
     n = s_obs.size
     kernel = _mixture_kernel(s_obs, atoms, reference)

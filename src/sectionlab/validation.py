@@ -89,12 +89,12 @@ def ks_vs_cdf(x, cdf) -> float:
 
 def _closed_form_law(body: ConvexBody):
     """The body's section volume CDF where it is known in closed form, else
-    None: a ball's by its kind, the unit square's for a body labelled
+    None: a ball's by its kind, the unit square's for a 2D body labelled
     ``square``."""
     if body.kind == "ball":
         return functools.partial(oracles.ball_section_cdf,
                                  radius=body.radius, dim=body.dim)
-    if body.label == "square":
+    if body.dim == 2 and body.label == "square":
         return oracles.square_chord_cdf
     return None
 

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from sectionlab.density import estimate_root_density, classical_kde, root_transform
+from sectionlab.density import (classical_kde, estimate_root_density,
+                                reflection_kde, root_transform)
 from sectionlab.geometry import builtin_body, build_polytope, mean_width
 from sectionlab.oracles import ball_section_cdf, square_chord_density
 from sectionlab.rng import RngStream
@@ -250,7 +251,7 @@ def test_criterion_8_reflection_identity():
     x = root_transform(sample)
     h = 0.02
     grid = np.linspace(0.0, float(x.max()) + 6.0 * h, 1024)
-    estimate = estimate_root_density(sample, bandwidth=h, grid=grid)
+    estimate = reflection_kde(x, h, grid)
     doubled = 2.0 * classical_kde(np.concatenate([x, -x]), h, grid)
     gap = float(np.abs(estimate.values - doubled).max())
     integral = estimate.integral()

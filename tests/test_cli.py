@@ -97,12 +97,39 @@ class TestSampleCommand:
         assert sample.body_label == "bigcube"
         assert sample.values.max() > 1.0  # areas up to 4*sqrt(2)
 
-    def test_workers_from_env(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("SECTION_LAB_WORKERS", "3")
+    def test_workers_env_is_ignored(self, runner, tmp_path, monkeypatch):
+        # worker streams come from --workers alone
         out = tmp_path / "w.csv"
-        run_ok(runner, ["sample", "--shape", "cube", "--n", "99",
-                        "--seed", "1", "-o", str(out)])
-        assert load_sample_csv(out).workers == 3
+        args = ["sample", "--shape", "cube", "--n", "1000", "--seed", "1",
+                "-o", str(out)]
+        run_ok(runner, args)
+        plain = out.read_bytes()
+        monkeypatch.setenv("SECTION_LAB_WORKERS", "3")
+        run_ok(runner, args)
+        assert out.read_bytes() == plain
+        assert load_sample_csv(out).workers == 1
+
+    def test_file_named_like_a_builtin_wins(self, runner, tmp_path,
+                                            monkeypatch):
+        corners = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        (tmp_path / "cube").write_text(
+            json.dumps({"kind": "polytope", "dim": 3, "vertices": corners}))
+        monkeypatch.chdir(tmp_path)
+        run_ok(runner, ["sample", "--shape", "cube", "--n", "100",
+                        "-o", "s.csv"])
+        # areas up to 4 sqrt(2); the unit cube's stop at sqrt(2)
+        assert load_sample_csv(tmp_path / "s.csv").values.max() > 1.5
+
+    @pytest.mark.parametrize("shape", ["cubex", "polygon2", "foo.json"])
+    def test_unknown_shapes_exit_3(self, runner, tmp_path, monkeypatch,
+                                   shape):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["sample", "--shape", shape,
+                                      "-o", "x.csv"])
+        assert result.exit_code == 3, result.output
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "UnknownShape"
+        assert shape in payload["message"]
 
 
 class TestDensityCommand:
@@ -212,6 +239,8 @@ class TestUnfoldCommand:
     @pytest.mark.parametrize("text,error", [
         ("1.0\n-2.0\n0.5\n", "ZeroLocation"),
         ("1.0\nnan\n0.5\n", "ZeroLocation"),
+        ("1.0\ninf\n0.5\n", "ZeroLocation"),
+        ("# no values\n", "ValueError"),
         ("location,cumulative\n1.0,1.0\n", "ValueError"),
         ("1.0\n2.0,3.0\n", "ValueError"),
     ])
@@ -284,6 +313,18 @@ class TestValidateCommand:
         # every check samples over the worker streams
         assert outputs[0] != outputs[2]
 
+    def test_square_law_needs_a_2d_body(self, runner, tmp_path):
+        # the unit cube's areas are not the unit square's chords
+        corners = [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5)
+                   for z in (-0.5, 0.5)]
+        cube = tmp_path / "square.json"
+        cube.write_text(json.dumps({"kind": "polytope", "dim": 3,
+                                    "vertices": corners}))
+        result = run_ok(runner, ["validate", "--shape", str(cube),
+                                 "--n", "20000", "--trials", "1"])
+        assert "section_law" not in result.output
+        assert "acceptance_rate" in result.output
+
     def test_disk_file_gets_the_disk_law(self, runner, tmp_path):
         disk = tmp_path / "disk.json"
         disk.write_text('{"kind": "ball", "center": [0, 0], "radius": 1}')
@@ -325,15 +366,6 @@ class TestValidateCommand:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
         assert "PASS" not in result.output
-
-    def test_non_integer_workers_env(self, runner, monkeypatch):
-        monkeypatch.setenv("SECTION_LAB_WORKERS", "abc")
-        result = runner.invoke(main, ["validate", "--shape", "cube",
-                                      "--n", "1000", "--trials", "1"])
-        assert result.exit_code == 3, result.output
-        payload = json.loads(result.output.strip().splitlines()[-1])
-        assert payload["error"] == "ValueError"
-        assert "SECTION_LAB_WORKERS" in payload["message"]
 
     def test_failing_check_exits_2(self, runner, monkeypatch):
         import sectionlab.cli as cli
@@ -475,3 +507,44 @@ class TestWithoutScipy:
         error = json.loads(done.stderr.splitlines()[-1])
         assert error["error"] == "ModuleNotFoundError"
         assert "scipy" in error["message"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    def test_unset_threads_unfold_like_one_thread(self, tmp_path,
+                                                  dodecahedron):
+        """With the BLAS thread variables unset, unfold writes the bytes it
+        writes with them at 1.  Run in children whose environment lacks
+        them: this process already set them on importing sectionlab.  On
+        a 2-core machine, 2000 areas against a 1e5 reference are enough
+        for a second BLAS thread to change the fit's rounding."""
+        import os
+        import subprocess
+        import sys
+
+        import sectionlab
+
+        roots = sample_profile_sizes(dodecahedron, Exponential(1.0), 2000,
+                                     RngStream(1))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("".join(f"{float(v) ** 2!r}\n" for v in roots))
+        src = os.path.dirname(os.path.dirname(sectionlab.__file__))
+        base = {k: v for k, v in os.environ.items()
+                if k not in BLAS_THREAD_VARS}
+        outputs = []
+        for threads in (None, "1"):
+            env = {**base, "PYTHONPATH": src}
+            if threads:
+                env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+            run_dir = tmp_path / f"threads-{threads}"
+            run_dir.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "sectionlab.cli", "unfold",
+                 "--observations", str(obs), "--shape", "dodecahedron",
+                 "--normalize-volume", "--n", "100000", "-o", "hb.csv"],
+                cwd=run_dir, env=env, check=True, timeout=300)
+            outputs.append((run_dir / "hb.csv").read_bytes())
+        assert outputs[0] == outputs[1]

@@ -697,8 +697,8 @@ class TestPipeline:
         for seed in range(10):
             ise = []
             for k, n in enumerate((20_000, 40_000)):
-                sample = sample_iur_sections(square, n, RngStream(900 + seed, k))
-                est = estimate_root_density(sample, grid=grid)
+                x = sample_iur_sections(square, n, RngStream(900 + seed, k)).values
+                est = reflection_kde(x, sheather_jones_bandwidth(x)[0], grid)
                 ise.append(np.trapezoid((est.values - truth) ** 2, grid))
             improvements += ise[1] < ise[0]
         assert improvements >= 9

@@ -315,9 +315,15 @@ class TestNpmleEm:
         assert np.array_equal(result.step_cdf.locations, [0.7])
         assert result.step_cdf.cumulative[-1] == 1.0
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_observation_raises(self):
         with pytest.raises(ZeroLocation):
             npmle_em(np.array([1.0, np.nan, 0.7]), triangular_reference())
+
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic
+    def test_infinite_observation_raises(self):
+        with pytest.raises(ZeroLocation):
+            npmle_em(np.array([1.0, np.inf, 0.7]), triangular_reference())
 
     def test_loglik_monotone_and_weights_normalized(self, ball3,
                                                     ball_reference):
