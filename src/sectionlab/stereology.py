@@ -265,20 +265,28 @@ def nnls(a, b, start=None) -> np.ndarray:
     """Nonnegative least squares: x >= 0 minimizing |a x - b|.
 
     Lawson & Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23).  It runs on the triangular factor R of the QR
-    factorization of [a | b]: |a x - b| equals |R x - r| for R's first k
-    columns and its last column r, so every step costs O(k^3) whatever
-    the row count of ``a``.  ``start`` (boolean, one entry per column)
-    names a passive set to begin from: columns whose least squares
-    coefficient is not positive leave it until the rest are positive, and
-    when its columns are singular the solver starts cold from x = 0.  On
-    return the dual vector a^T (b - a x) is at most a rounding-level
-    tolerance where x = 0, and about 0 where x > 0.
+    1974, ch. 23).  It runs on an upper triangular R with R^T R equal to
+    the Gram matrix of [a | b]: |a x - b| equals |R x - r| for R's first
+    k columns and its last column r, so every step costs O(k^3) whatever
+    the row count of ``a`` (Bro & De Jong 1997, J. Chemometrics
+    11:393-401).  R is the Cholesky factor of that (k+1) x (k+1) Gram
+    matrix, one matrix product over the rows; only when the Gram matrix
+    is not numerically positive definite is R taken from a QR
+    factorization of [a | b] instead.  ``start`` (boolean, one entry per
+    column) names a passive set to begin from: columns whose least
+    squares coefficient is not positive leave it until the rest are
+    positive, and when its columns are singular the solver starts cold
+    from x = 0.  On return the dual vector a^T (b - a x) is at most a
+    rounding-level tolerance where x = 0, and about 0 where x > 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, k = a.shape
-    factor = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    ab = np.column_stack([a, b])
+    try:
+        factor = np.linalg.cholesky(ab.T @ ab).T
+    except np.linalg.LinAlgError:
+        factor = np.linalg.qr(ab, mode="r")
     r, rb = factor[:, :k], factor[:, k]
     # rounding level of the dual a^T (b - a x)
     tol = (10.0 * max(m, k) * np.finfo(float).eps
@@ -377,15 +385,19 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     maximizes the quadratic model of the log-likelihood over the simplex
     on that set by nonnegative least squares, drops atoms of zero weight
     and takes an Armijo backtracking step, so the log-likelihood never
-    decreases.  ``converged`` is True only when the gap max_j D_j - 1 is
-    at most ``tol``; after ``max_iter`` steps, or when no step gains, the
-    current fit is returned with ``converged`` False and its gap.  The
-    stopping rule and the observations are checked first.
+    decreases.  The least squares solve starts with every atom of the set
+    passive, so most new atoms need no entering step of their own, and
+    works on the Cholesky factor of the model's (k+1) x (k+1) Gram
+    matrix (see ``nnls``).  ``converged`` is True only when the gap
+    max_j D_j - 1 is at most ``tol``; after ``max_iter`` steps, or when no
+    step gains, the current fit is returned with ``converged`` False and
+    its gap.  The stopping rule and the observations are checked first.
     """
     check_stopping_rule(tol, max_iter)
     s_obs = np.sort(np.asarray(s_obs, dtype=float))
     check_observations(s_obs)
-    atoms = np.unique(s_obs)
+    # sorted, so duplicates are neighbours (np.unique would import numpy.ma)
+    atoms = s_obs[np.concatenate(([True], s_obs[1:] != s_obs[:-1]))]
     n = s_obs.size
     kernel = _mixture_kernel(s_obs, atoms, reference)
     if (kernel.max(axis=1) <= 0).any():
@@ -406,9 +418,13 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
     trace = []
     converged = False
     iterations = 0
+    # kernel columns of the last Newton set, which holds the support of w:
+    # the mixture is taken from them, not from a second strided gather
+    cols = np.flatnonzero(w)
+    columns = kernel[:, cols]
     while True:
-        active = np.flatnonzero(w)
-        mix = kernel[:, active] @ w[active]
+        live = w[cols] > 0
+        mix = columns[:, live] @ w[cols[live]]
         trace.append(float(np.mean(np.log(mix))))
         grad = kernel.T @ (1.0 / mix) / n
         gap = float(grad.max()) - 1.0
@@ -428,7 +444,7 @@ def npmle_em(s_obs, reference: ReferenceDensity, tol: float = 1e-8,
         np.divide(columns, mix[:, None], out=model[:n])
         model[:n] -= 2.0
         model[n] = rhs[n]
-        x = nnls(model, rhs, start=w[cols] > 0)
+        x = nnls(model, rhs, start=np.ones(cols.size, dtype=bool))
         target = np.zeros(atoms.size)
         target[cols] = x / x.sum()
         # The step must raise mean log(mix) - sum(w), the log-likelihood

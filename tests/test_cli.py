@@ -440,6 +440,7 @@ for args in (
     except SystemExit as exc:
         codes.append(exc.code)
 report["commands"] = loaded()
+report["numpy.ma"] = "numpy.ma" in sys.modules
 report["codes"] = codes
 print(json.dumps(report))
 """
@@ -449,7 +450,8 @@ class TestStartsWithoutScipy:
     def test_builtin_commands_never_import_scipy(self, tmp_path):
         """Import, builtin shapes and the density, unfold and validate
         commands on them load no scipy module: scipy is needed only for
-        body JSON files, regular polygons and Gamma.cdf."""
+        body JSON files, regular polygons and Gamma.cdf.  Nor do they load
+        numpy.ma."""
         import os
         import subprocess
         import sys
@@ -467,6 +469,8 @@ class TestStartsWithoutScipy:
         assert report["import"] == []
         assert report["resolve_shape"] == []
         assert report["commands"] == []
+        # np.unique imports numpy.ma: 15 ms of start-up in each process
+        assert report["numpy.ma"] is False
 
 
 BLOCKED_SCIPY_SCRIPT = r"""

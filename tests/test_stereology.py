@@ -435,6 +435,9 @@ class TestNnls:
         assert_nnls_optimal(a, b, x)
         # a warm start on any set reaches the same optimum
         assert_nnls_optimal(a, b, nnls(a, b, start=gen.random(k) < 0.5))
+        # so does the start on every column, which npmle_em uses; the Gram
+        # matrix of [a | b] has condition number about 1e12 here
+        assert_nnls_optimal(a, b, nnls(a, b, start=np.ones(k, dtype=bool)))
 
     def test_model_matrices_of_a_fit(self, ball3, ball_reference,
                                      monkeypatch):
@@ -461,11 +464,33 @@ class TestNnls:
         b = gen.standard_normal(20)
         start = np.zeros(6, dtype=bool)
         start[[1, 3]] = True
-        factor = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        ab = np.column_stack([a, b])
+        # the Gram matrix is singular, so nnls factors by its QR fallback
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(ab.T @ ab)
+        factor = np.linalg.qr(ab, mode="r")
         assert _passive_solution(factor[:, :6], factor[:, 6], start) is None
         x = nnls(a, b, start=start)
         assert_nnls_optimal(a, b, x)
         assert np.array_equal(x, nnls(a, b))
+
+    def test_qr_fallback_gives_the_same_fit(self, ball3, ball_reference,
+                                            monkeypatch):
+        """The QR factor that nnls falls back to when the Gram matrix is
+        not numerically positive definite yields the same fit."""
+        s_obs = sample_profile_sizes(ball3, Exponential(1.0), 1000,
+                                     RngStream(13))
+        default = npmle_em(s_obs, ball_reference)
+
+        def no_cholesky(gram):
+            raise np.linalg.LinAlgError("forced QR fallback")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        fallback = npmle_em(s_obs, ball_reference)
+        assert default.converged and fallback.converged
+        assert fallback.support == default.support
+        assert fallback.iterations == default.iterations
+        assert abs(fallback.final_loglik - default.final_loglik) <= 1e-12
 
 
 class TestReferenceDensity:
