@@ -127,9 +127,9 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     if cores == 1:
         proposals = _draw(centered, radius, slices, streams)
     else:
-        # imported here: about 10 ms at start-up that serial runs never
-        # need.  Threads racing to fill the body's lazy caches compute
-        # equal arrays.
+        # imported here: 6-8 ms at start-up (about 4.5 ms of it logging,
+        # on a 2-core Xeon VM) that one-core runs never need.  Threads racing
+        # to fill the body's lazy caches compute equal arrays.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(cores - 1) as helpers:

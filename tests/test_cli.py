@@ -408,6 +408,16 @@ class TestUnfold2d:
         assert report["converged"] is True
 
 
+def _child_env():
+    """This environment, with sectionlab's sources on the child's path."""
+    import os
+
+    import sectionlab
+
+    src = os.path.dirname(os.path.dirname(sectionlab.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
 NO_SCIPY_SCRIPT = r"""
 import json, sys
 import sectionlab.cli as cli
@@ -452,17 +462,12 @@ class TestStartsWithoutScipy:
         commands on them load no scipy module: scipy is needed only for
         body JSON files, regular polygons and Gamma.cdf.  Nor do they load
         numpy.ma."""
-        import os
         import subprocess
         import sys
 
-        import sectionlab
-
-        src = os.path.dirname(os.path.dirname(sectionlab.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=300)
+                              cwd=tmp_path, env=_child_env(),
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["codes"] == [0, 0, 0]
@@ -492,20 +497,16 @@ class TestWithoutScipy:
     def test_missing_scipy_is_an_input_error(self, tmp_path, shape):
         """Shapes that need qhull exit 3 with a one-line JSON error that
         names scipy, not with a traceback, when scipy cannot be imported."""
-        import os
         import subprocess
         import sys
 
-        import sectionlab
-
         (tmp_path / "triangle.json").write_text(
             '{"vertices": [[0, 0], [1, 0], [0, 1]]}')
-        src = os.path.dirname(os.path.dirname(sectionlab.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", BLOCKED_SCIPY_SCRIPT, "density", "--shape",
              shape, "--n", "2000", "-o", "out.csv"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+            timeout=300)
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
         error = json.loads(done.stderr.splitlines()[-1])
@@ -552,3 +553,118 @@ class TestBlasThreads:
                 cwd=run_dir, env=env, check=True, timeout=300)
             outputs.append((run_dir / "hb.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestProcessExit:
+    """Importing sectionlab.cli registers ``gc.freeze`` to run at exit.  A
+    real ``python -m sectionlab.cli`` process must still flush every byte
+    and keep its exit code: it writes what the same command writes
+    in-process."""
+
+    def _run_both(self, runner, tmp_path, monkeypatch, args):
+        import subprocess
+        import sys
+
+        child, inproc = tmp_path / "child", tmp_path / "inproc"
+        child.mkdir(parents=True)
+        inproc.mkdir()
+        done = subprocess.run([sys.executable, "-m", "sectionlab.cli", *args],
+                              cwd=child, env=_child_env(),
+                              capture_output=True, timeout=300)
+        monkeypatch.chdir(inproc)
+        result = runner.invoke(main, args)
+        return done, result, child, inproc
+
+    def test_density_and_unfold_write_the_in_process_bytes(
+            self, runner, tmp_path, monkeypatch, ball3):
+        s = sample_profile_sizes(ball3, Exponential(1.0), 150, RngStream(31))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("".join(f"{float(a * a)!r}\n" for a in s))
+        for name, args in [
+            ("density", ["density", "--shape", "cube", "--n", "20000",
+                         "--seed", "3", "--scale", "both", "-o", "g.csv"]),
+            ("unfold", ["unfold", "--observations", str(obs), "--shape",
+                        "ball", "--n", "30000", "--seed", "31",
+                        "--max-iter", "600", "--unbias", "-o", "hb.csv"]),
+        ]:
+            done, result, child, inproc = self._run_both(
+                runner, tmp_path / name, monkeypatch, args)
+            assert done.returncode == 0 == result.exit_code, done.stderr
+            assert done.stdout.startswith(b"wrote ")
+            assert done.stdout == result.stdout_bytes
+            files = sorted(p.name for p in child.iterdir())
+            assert files == sorted(p.name for p in inproc.iterdir())
+            assert len(files) == 3
+            for f in files:
+                assert (child / f).read_bytes() == (inproc / f).read_bytes()
+
+    def test_input_error_keeps_exit_code_and_json_line(
+            self, runner, tmp_path, monkeypatch):
+        done, result, child, _ = self._run_both(
+            runner, tmp_path, monkeypatch,
+            ["density", "--shape", "cubex", "--n", "2000", "-o", "g.csv"])
+        assert done.returncode == 3 == result.exit_code
+        assert done.stdout == b""
+        assert done.stderr == result.stderr_bytes
+        error = json.loads(done.stderr)
+        assert error["error"] == "UnknownShape"
+        assert "'cubex' is not a file" in error["message"]
+        assert list(child.iterdir()) == []
+
+
+HOOK_SCRIPT = r"""
+import atexit, gc, json, sys
+
+# registered before any sectionlab hook, so it runs after them
+atexit.register(lambda: print(json.dumps(
+    {"freeze_count_at_exit": gc.get_freeze_count()})))
+
+def state():
+    return {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}
+
+report = {}
+import sectionlab
+report["import sectionlab"] = state()
+if sys.argv[1:]:
+    import sectionlab.cli as cli
+    report["import sectionlab.cli"] = state()
+    try:
+        cli.main.main(args=sys.argv[1:], prog_name="sectionlab")
+    except SystemExit as exc:
+        report["code"] = exc.code
+    report["command"] = state()
+print(json.dumps(report))
+"""
+
+
+class TestExitHook:
+    def _run(self, tmp_path, args):
+        import subprocess
+        import sys
+
+        done = subprocess.run([sys.executable, "-c", HOOK_SCRIPT, *args],
+                              cwd=tmp_path, env=_child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        # the command's own "wrote ..." line comes first
+        report, at_exit = map(json.loads, done.stdout.splitlines()[-2:])
+        return report, at_exit["freeze_count_at_exit"]
+
+    def test_changes_nothing_while_the_process_runs(self, tmp_path):
+        """The collector stays on and nothing is frozen after the imports
+        and after a command; the heap is frozen only at exit."""
+        report, frozen_at_exit = self._run(
+            tmp_path, ["density", "--shape", "cube", "--n", "2000",
+                       "-o", "g.csv"])
+        assert report.pop("code") == 0
+        assert set(report) == {"import sectionlab", "import sectionlab.cli",
+                               "command"}
+        for stage, state in report.items():
+            assert state == {"enabled": True, "frozen": 0}, stage
+        assert frozen_at_exit > 0
+
+    def test_importing_only_sectionlab_registers_no_hook(self, tmp_path):
+        report, frozen_at_exit = self._run(tmp_path, [])
+        assert report == {"import sectionlab":
+                          {"enabled": True, "frozen": 0}}
+        assert frozen_at_exit == 0
