@@ -417,10 +417,13 @@ def validate_body(body: ConvexBody) -> None:
     if body.dim not in (2, 3):
         raise InvalidBody("dimension must be 2 or 3")
     if body.kind == "ball":
-        if body.radius is None or body.radius <= 0:
-            raise InvalidBody("ball radius must be positive")
+        # a NaN radius would reject every proposal, so sampling never ends
+        if body.radius is None or not 0 < body.radius < np.inf:
+            raise InvalidBody("ball radius must be finite and positive")
         if body.center is None or body.center.shape != (body.dim,):
             raise InvalidBody("ball center has wrong shape")
+        if not np.isfinite(body.center).all():
+            raise InvalidBody("ball center must be finite")
         return
     if body.kind != "polytope":
         raise InvalidBody(f"unknown body kind {body.kind!r}")

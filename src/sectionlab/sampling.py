@@ -12,8 +12,11 @@ streams, and so the values; the usable cores choose only the speed.  The
 calling thread draws every shard's batches in turn and, on several cores,
 queues each batch's sections in pieces for ``cores - 1`` helper threads,
 draws and accept-tests the next batch meanwhile, from the same shard or
-the next, and then computes the pieces still queued itself.  Each value
-has the same bits wherever a piece or chunk boundary falls, so a fixed
+the next, and then computes the pieces still queued itself.  A new helper
+starts on the caller's CPU and mostly stays there (one call used 0.97-1.00
+CPU-s per wall s on 2 vCPUs), so it moves once to a CPU of its own, then
+is unpinned; the caller's affinity is untouched.  Each value has the same
+bits wherever a piece or chunk boundary falls or a thread runs, so a fixed
 worker count gives the same results on any core count.  Each proposal
 consumes exactly ``dim`` uniforms from its stream, which makes the draws
 independent of the internal batch size.
@@ -123,7 +126,8 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     shards = min(workers, size)
     slices = np.array_split(values, shards)  # views, longest first
     streams = [rng.derive(w) for w in range(shards)]
-    cores = len(os.sched_getaffinity(0))
+    mask = os.sched_getaffinity(0)
+    cores = len(mask)
     if cores == 1:
         proposals = _draw(centered, radius, slices, streams)
     else:
@@ -132,7 +136,10 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
         # to fill the body's lazy caches compute equal arrays.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(cores - 1) as helpers:
+        cpu = _caller_cpu()
+        spare = [] if cpu is None else sorted(mask - {cpu})
+        with ThreadPoolExecutor(cores - 1, initializer=_leave_cpu,
+                                initargs=(mask, spare)) as helpers:
             proposals = _draw(centered, radius, slices, streams, helpers,
                               _PIECES_PER_CORE * cores)
     return SectionSample(
@@ -144,6 +151,25 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
         dim=body.dim,
         workers=workers,
     )
+
+
+def _caller_cpu() -> int | None:
+    """The CPU this thread runs on, or None if unknown: field 39 of its
+    stat, counted after the parenthesised name, which may hold spaces."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rpartition(")")[2].split()[36])
+    except OSError:
+        return None
+
+
+def _leave_cpu(mask, spare) -> None:
+    """Move a new helper once to a CPU of its own, then unpin it."""
+    try:
+        os.sched_setaffinity(0, {spare.pop()})
+        os.sched_setaffinity(0, mask)
+    except (OSError, IndexError):  # a raising initializer breaks the pool
+        pass
 
 
 def _fill(out, body, thetas, offsets) -> None:

@@ -611,6 +611,33 @@ class TestProcessExit:
         assert "'cubex' is not a file" in error["message"]
         assert list(child.iterdir()) == []
 
+    @pytest.mark.parametrize("command,center,radius,message", [
+        ("density", [0, 0, 0], math.nan, "radius must be finite"),
+        ("sample", [0, 0, 0], math.nan, "radius must be finite"),
+        ("sample", [0, 0], math.inf, "radius must be finite"),
+        ("sample", [0, math.inf, 0], 1.0, "center must be finite"),
+    ])
+    def test_ball_not_finite_exits_3(self, tmp_path, command, center, radius,
+                                     message):
+        # a NaN radius rejected every proposal, so the command never ended;
+        # the timeout turns such a hang into a failure
+        import subprocess
+        import sys
+
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"kind": "ball", "center": center, "radius": radius}))
+        done = subprocess.run(
+            [sys.executable, "-m", "sectionlab.cli", command, "--shape",
+             "bad.json", "--n", "2000", "-o", "out.csv"],
+            cwd=tmp_path, env=_child_env(), capture_output=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == b""
+        # one JSON line, and no RuntimeWarning before it
+        error = json.loads(done.stderr)
+        assert error["error"] == "InvalidBody"
+        assert message in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
 
 HOOK_SCRIPT = r"""
 import atexit, gc, json, sys

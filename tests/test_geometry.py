@@ -532,6 +532,36 @@ class TestValidateBody:
         with pytest.raises(InvalidBody):
             validate_body(bad)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_ball_radius_not_finite_and_positive(self, dim, radius):
+        # a NaN radius used to pass, and then sampling rejected every
+        # proposal forever
+        from sectionlab.geometry import ConvexBody
+        from sectionlab.sampling import sample_iur_sections
+
+        bad = ConvexBody(dim=dim, kind="ball", center=np.zeros(dim),
+                         radius=radius, label="bad")
+        with pytest.raises(InvalidBody, match="finite and positive"):
+            validate_body(bad)
+        with pytest.raises(InvalidBody, match="finite and positive"):
+            sample_iur_sections(bad, 10, RngStream(0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad_coordinate", [np.nan, np.inf, -np.inf])
+    def test_rejects_ball_center_not_finite(self, dim, bad_coordinate):
+        from sectionlab.geometry import ConvexBody
+        from sectionlab.sampling import sample_iur_sections
+
+        center = np.zeros(dim)
+        center[-1] = bad_coordinate
+        bad = ConvexBody(dim=dim, kind="ball", center=center, radius=1.0,
+                         label="bad")
+        with pytest.raises(InvalidBody, match="center must be finite"):
+            validate_body(bad)
+        with pytest.raises(InvalidBody, match="center must be finite"):
+            sample_iur_sections(bad, 10, RngStream(0))
+
     def test_hyperplane_requires_unit_direction(self):
         with pytest.raises(ValueError):
             Hyperplane(np.array([1.0, 1.0]), 0.0)
@@ -548,7 +578,6 @@ class TestValidateBody:
 
     def test_invalid_body_propagates_to_sampler(self, cube):
         from sectionlab.geometry import ConvexBody
-        from sectionlab.rng import RngStream
         from sectionlab.sampling import sample_iur_sections
 
         bad = ConvexBody(

@@ -22,6 +22,22 @@ from sectionlab.sampling import (
 from sectionlab.validation import ks_vs_cdf
 
 
+@pytest.fixture
+def fake_setaffinity(monkeypatch):
+    """Record ``os.sched_setaffinity`` calls as (thread, pid, CPUs) instead
+    of making them, so fake CPU ids never reach the kernel."""
+    import os
+    import threading
+
+    calls = []
+
+    def record(pid, mask):
+        calls.append((threading.get_ident(), pid, set(mask)))
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    return calls
+
+
 class TestDirections:
     def test_unit_norm(self):
         for dim in (2, 3):
@@ -132,7 +148,7 @@ class TestIurSampling:
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     def test_pooled_shards_match_serial_loop(self, dodecahedron, monkeypatch,
-                                             workers):
+                                             fake_setaffinity, workers):
         import concurrent.futures
         import os
         import sys
@@ -165,7 +181,8 @@ class TestIurSampling:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     def test_spare_cores_match_serial_loop(self, square, dodecahedron,
-                                           monkeypatch, cores, workers):
+                                           monkeypatch, fake_setaffinity,
+                                           cores, workers):
         # small batches, so that many batches are in flight, shard
         # boundaries fall inside the pipeline and the drawing thread
         # computes some pieces itself; every usable core computes
@@ -207,7 +224,8 @@ class TestIurSampling:
         # and one core runs with no pool
         assert pools == ([cores - 1] * 3 if cores > 1 else [])
 
-    def test_helper_error_reaches_the_caller(self, cube, monkeypatch):
+    def test_helper_error_reaches_the_caller(self, cube, monkeypatch,
+                                             fake_setaffinity):
         import os
         import threading
 
@@ -278,6 +296,103 @@ class TestIurSampling:
     def test_size_validation(self, cube):
         with pytest.raises(ValueError):
             sample_iur_sections(cube, 0, RngStream(0))
+
+
+class TestHelperStart:
+    """A new helper thread starts on the drawing thread's CPU; it moves
+    once to a CPU of its own and is then unpinned again."""
+
+    @pytest.mark.parametrize("cores,caller", [(2, 0), (2, 1), (3, 1),
+                                              (4, 0), (4, 3)])
+    def test_each_helper_leaves_the_callers_cpu(self, cube, monkeypatch,
+                                                fake_setaffinity, cores,
+                                                caller):
+        import os
+        import threading
+        import time
+
+        import sectionlab.sampling as sampling
+
+        mask = set(range(cores))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+        monkeypatch.setattr(sampling, "_caller_cpu", lambda: caller)
+        real_kernel = sampling.section_volumes
+
+        def slow_kernel(body, thetas, offsets):
+            # no helper finishes a piece before the batch is queued, so
+            # the pool starts all of its threads
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.005)
+            return real_kernel(body, thetas, offsets)
+
+        monkeypatch.setattr(sampling, "section_volumes", slow_kernel)
+        sample_iur_sections(cube, 3000, RngStream(5), workers=2)
+        helpers = {}
+        for thread, pid, cpus in fake_setaffinity:
+            assert pid == 0  # the calling thread itself
+            helpers.setdefault(thread, []).append(cpus)
+        # the caller's mask is never set
+        assert threading.get_ident() not in helpers
+        assert len(helpers) == cores - 1
+        for calls in helpers.values():
+            assert len(calls) == 2
+            assert len(calls[0]) == 1 and caller not in calls[0]
+            assert calls[1] == mask
+        moved_to = [calls[0].pop() for calls in helpers.values()]
+        assert sorted(moved_to) == sorted(mask - {caller})
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_refused_move_changes_nothing(self, dodecahedron, monkeypatch,
+                                          cores):
+        import os
+
+        import sectionlab.sampling as sampling
+
+        monkeypatch.setattr(sampling, "_BATCH", 997)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = sample_iur_sections(dodecahedron, 20000, RngStream(6),
+                                     workers=2)
+        refused = []
+
+        def refuse(pid, mask):
+            refused.append(set(mask))
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        monkeypatch.setattr(sampling, "_caller_cpu", lambda: 0)
+        pooled = sample_iur_sections(dodecahedron, 20000, RngStream(6),
+                                     workers=2)
+        assert refused and all(len(cpus) == 1 for cpus in refused)
+        assert np.array_equal(pooled.values, serial.values)
+        assert pooled.n_proposed == serial.n_proposed
+
+    def test_caller_cpu_is_in_this_threads_mask(self):
+        import os
+
+        from sectionlab.sampling import _caller_cpu
+
+        assert _caller_cpu() in os.sched_getaffinity(0)
+
+    def test_unknown_caller_cpu_leaves_helpers_alone(self, cube, monkeypatch,
+                                                     fake_setaffinity):
+        import os
+
+        import sectionlab.sampling as sampling
+
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("no /proc here")
+
+        monkeypatch.setattr(sampling, "open", no_proc, raising=False)
+        assert sampling._caller_cpu() is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = sample_iur_sections(cube, 3000, RngStream(7), workers=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = sample_iur_sections(cube, 3000, RngStream(7), workers=2)
+        assert fake_setaffinity == []
+        assert np.array_equal(pooled.values, serial.values)
+        assert pooled.n_proposed == serial.n_proposed
 
 
 class TestSectionLaws:
