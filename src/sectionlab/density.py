@@ -368,50 +368,63 @@ def default_grid(x, h: float, grid_points: int | None = None) -> np.ndarray:
 # Bandwidth selection
 
 
-def _mirror_quartiles(x: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+def _mirror_quartiles(x: np.ndarray, bins: np.ndarray, counts: np.ndarray
+                      ) -> tuple[float, float]:
     """``np.percentile(np.concatenate([x, -x]), [75, 25])``, bit for bit,
     from ``x`` alone.
 
     Sorted, the 2N-point mirror's top half is xs, the sorted sample, and
     numpy's linear method puts its 75th percentile at rank (2N - 1) * 0.75
-    of the mirror, between xs[k] and xs[k + 1].  ``buf`` receives a copy
-    of x, partitioned at those two order statistics.  The rank's fraction
-    is 0.25 or 0.75, never 0.5, so numpy takes the 25th percentile with
-    the mirrored formula from the negated pair: it is exactly -q75.
+    of the mirror, between xs[k] and xs[k + 1].  x_i's bin in ``bins`` is
+    nondecreasing in x_i, so these lie in the bins where the cumulative
+    ``counts`` pass k and k + 1, and only those bins' points are
+    partitioned.  The rank's fraction is 0.25 or 0.75, never 0.5, so numpy
+    takes the 25th percentile with the mirrored formula from the negated
+    pair: it is exactly -q75.
     """
     n = x.size
     virtual = (2 * n - 1) * 0.75  # exact, as numpy computes it
     rank = math.floor(virtual)
     k, t = rank - n, virtual - rank
-    np.copyto(buf, x)
-    buf.partition([k, k + 1])
-    a, b = float(buf[k]), float(buf[k + 1])
+    cum = np.cumsum(counts)
+    first, last = np.searchsorted(cum, [k, k + 1], side="right")
+    k -= int(cum[first] - counts[first])  # rank among the gathered points
+    parts = []
+    for start in range(0, n, _BIN_CHUNK):
+        b = bins[start:start + _BIN_CHUNK]
+        parts.append(x[start:start + _BIN_CHUNK][(b >= first) & (b <= last)])
+    part = np.concatenate(parts)
+    part.partition([k, k + 1])
+    a, b = float(part[k]), float(part[k + 1])
     q75 = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
     return q75, -q75
 
 
-def _pair_distance_counts(x: np.ndarray, nbins: int):
+def _pair_distance_counts(x: np.ndarray, nbins: int, bins: np.ndarray):
     """Binned counts of unordered pair distances in the mirrored sample
     {x_i} U {-x_i}, as used by the plug-in.
 
-    Returns (counts, delta) where counts[k] is the number of unordered
-    pairs whose binned distance is k * delta.  The mirror's range is
-    [-m, m] with m = max|x|; x and -x are binned chunk by chunk with the
-    float operations that binning the built mirror would perform.
+    Returns (counts, delta, x_counts) where counts[k] is the number of
+    unordered pairs whose binned distance is k * delta, and x_counts[j]
+    the number of x_i in bin j; ``bins`` receives each x_i's bin.  The
+    mirror's range is [-m, m] with m = max|x|; x and -x are binned chunk
+    by chunk with the float operations that binning the mirror would use.
     """
     hi = max(x.max(), -x.min())
     lo = -hi
     delta = (hi - lo) / nbins
-    w = np.zeros(nbins, dtype=np.intp)
+    w = np.zeros((2, nbins), dtype=np.intp)  # x's bins, then -x's
     for start in range(0, x.size, _BIN_CHUNK):
         chunk = x[start:start + _BIN_CHUNK]
-        for half in (chunk, -chunk):
-            idx = np.minimum(((half - lo) / delta).astype(np.intp), nbins - 1)
-            w += np.bincount(idx, minlength=nbins)
-    w = w.astype(float)
-    cnt = np.correlate(w, w, mode="full")[nbins - 1:]
+        halves = ((chunk, bins[start:start + _BIN_CHUNK]), (-chunk, None))
+        for counts, (half, idx) in zip(w, halves):
+            idx = np.minimum(((half - lo) / delta).astype(np.intp), nbins - 1,
+                             out=idx)
+            counts += np.bincount(idx, minlength=nbins)
+    total = w.sum(axis=0).astype(float)
+    cnt = np.correlate(total, total, mode="full")[nbins - 1:]
     cnt[0] = (cnt[0] - 2 * x.size) / 2.0
-    return cnt, delta
+    return cnt, delta, w[0]
 
 
 def _binned_functional(cnt, delta, n, h, hermite, power):
@@ -443,8 +456,10 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     {x_i} U {-x_i} so the returned bandwidth is the one to feed directly
     into ``reflection_kde``.  The mirror is never built: its quartiles,
     standard deviation (its mean is 0, so sqrt(mean(x^2))) and binned
-    pair counts all come from x, and beyond x the solve holds one N-float
-    scratch buffer.  The plug-in equation
+    pair counts all come from x, and beyond x the solve holds at most one
+    N-float scratch array at a time.  The quartiles are exact order
+    statistics of x, found by partitioning only the points of the pair
+    counts' bins that hold them (``_mirror_quartiles``).  The plug-in equation
     ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by bisection on
     [h_silverman / 100, 100 * h_silverman] to 1e-8 relative tolerance;
     when the equation has no root there, Silverman's rule on the mirrored
@@ -457,17 +472,19 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     if np.ptp(x) == 0:  # exact: a constant sample can have std 1e-17
         raise ZeroVariance("sample has zero variance")
     n = 2 * x.size  # the mirror's size
-    buf = np.empty_like(x)
-    q75, q25 = _mirror_quartiles(x, buf)
-    sd = math.sqrt(float(np.square(x, out=buf).sum()) / x.size)
-    del buf
+    # x^2 first: the bins and binning temporaries then reuse the memory
+    # its N floats free, instead of raising the peak RSS
+    sd = math.sqrt(float(np.square(x).sum()) / x.size)
+    bins = np.empty(x.size, np.min_scalar_type(-nbins))  # 2 bytes a point
+    cnt, delta, x_counts = _pair_distance_counts(x, nbins, bins)
+    q75, q25 = _mirror_quartiles(x, bins, x_counts)
+    del bins
     iqr = q75 - q25
     if sd <= 0 or iqr <= 0:
         raise ZeroVariance("sample has zero variance")
     scale = min(sd, iqr / 1.349)
     h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)  # Silverman's rule
 
-    cnt, delta = _pair_distance_counts(x, nbins)
     a = 0.920 * scale * n ** (-1.0 / 7.0)
     b = 0.912 * scale * n ** (-1.0 / 9.0)
     sda = _binned_functional(cnt, delta, n, a, _hermite4, 5)

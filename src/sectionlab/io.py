@@ -21,7 +21,8 @@ import numpy as np
 
 from .density import DensityEstimate, StepCDF
 from .errors import DegenerateInput
-from .geometry import ConvexBody, build_polytope, vertices_from_halfspaces
+from .geometry import (ConvexBody, build_polytope, validate_body,
+                       vertices_from_halfspaces)
 from .sampling import SectionSample
 
 _SAMPLE_FIELDS = ("body_label", "dim", "seed", "n_proposed", "n_accepted",
@@ -80,11 +81,10 @@ def body_from_dict(data: dict, label: str | None = None) -> ConvexBody:
     name = label or data.get("label", "body")
     if data.get("kind") == "ball":
         center = np.asarray(data["center"], dtype=float)
-        radius = float(data["radius"])
-        if radius <= 0:
-            raise DegenerateInput("ball radius must be positive")
-        return ConvexBody(dim=len(center), kind="ball", center=center,
-                          radius=radius, label=name)
+        ball = ConvexBody(dim=len(center), kind="ball", center=center,
+                          radius=float(data["radius"]), label=name)
+        validate_body(ball)  # a bad file fails at load
+        return ball
     if "normals" in data:
         points = vertices_from_halfspaces(data["normals"], data["offsets"])
         return build_polytope(points, label=name)

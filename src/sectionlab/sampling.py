@@ -10,9 +10,10 @@ Proposals are sharded over ``workers`` independent substreams, each
 filling its own slice of one array in stream order.  Workers choose the
 streams, and so the values; the usable cores choose only the speed.  The
 calling thread draws every shard's batches in turn and, on several cores,
-queues each batch's sections in pieces for ``cores - 1`` helper threads,
-draws and accept-tests the next batch meanwhile, from the same shard or
-the next, and then computes the pieces still queued itself.  A new helper
+queues each batch's sections in pieces for ``cores - 1`` bare helper
+threads, draws and accept-tests the next batch meanwhile, from the same
+shard or the next, and then computes the pieces still queued itself from
+the queue's tail, as helpers take its head.  A new helper
 starts on the caller's CPU and mostly stays there (one call used 0.97-1.00
 CPU-s per wall s on 2 vCPUs), so it moves once to a CPU of its own, then
 is unpinned; the caller's affinity is untouched.  Each value has the same
@@ -25,6 +26,8 @@ independent of the internal batch size.
 from __future__ import annotations
 
 import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,15 +134,10 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     if cores == 1:
         proposals = _draw(centered, radius, slices, streams)
     else:
-        # imported here: 6-8 ms at start-up (about 4.5 ms of it logging,
-        # on a 2-core Xeon VM) that one-core runs never need.  Threads racing
-        # to fill the body's lazy caches compute equal arrays.
-        from concurrent.futures import ThreadPoolExecutor
-
+        # threads racing to fill the body's lazy caches compute equal arrays
         cpu = _caller_cpu()
         spare = [] if cpu is None else sorted(mask - {cpu})
-        with ThreadPoolExecutor(cores - 1, initializer=_leave_cpu,
-                                initargs=(mask, spare)) as helpers:
+        with _Helpers(cores - 1, mask, spare) as helpers:
             proposals = _draw(centered, radius, slices, streams, helpers,
                               _PIECES_PER_CORE * cores)
     return SectionSample(
@@ -168,7 +166,7 @@ def _leave_cpu(mask, spare) -> None:
     try:
         os.sched_setaffinity(0, {spare.pop()})
         os.sched_setaffinity(0, mask)
-    except (OSError, IndexError):  # a raising initializer breaks the pool
+    except (OSError, IndexError):
         pass
 
 
@@ -176,17 +174,67 @@ def _fill(out, body, thetas, offsets) -> None:
     out[:] = section_volumes(body, thetas, offsets)
 
 
-def _finish(pieces) -> None:
-    """Compute the pieces no helper has started here; wait for the rest.
+class _Helpers:
+    """``n`` threads that leave the caller's CPU, then compute queued
+    ``_fill`` pieces from the head of the queue.  Leaving the block drops
+    the queue and joins every helper; only then does an error, a helper's
+    first one included, reach the caller."""
 
-    Helpers start pieces in submission order, so once a piece cannot be
-    cancelled every earlier one has started too.
-    """
-    for task, args in reversed(pieces):
-        if task.cancel():
+    def __init__(self, n, mask, spare):
+        self.queue, self.busy, self.error, self.closed = deque(), 0, None, False
+        self.cond = threading.Condition()
+        self.threads = [threading.Thread(target=self._run, args=(mask, spare),
+                                         name=f"sampler-helper-{i}")
+                        for i in range(n)]
+        for thread in self.threads:
+            thread.start()
+
+    def _run(self, mask, spare) -> None:
+        _leave_cpu(mask, spare)
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.queue or self.closed)
+                if not self.queue:
+                    return
+                args = self.queue.popleft()
+                self.busy += 1
+            try:
+                _fill(*args)
+            except BaseException as exc:
+                with self.cond:
+                    self.error = self.error or exc
+                    self.queue.clear()
+            with self.cond:
+                self.busy -= 1
+                self.cond.notify_all()
+
+    def put(self, pieces) -> None:
+        with self.cond:
+            self.queue.extend(pieces)
+            self.cond.notify_all()
+
+    def finish(self) -> None:
+        """Compute the queued pieces here, newest first; wait for the rest."""
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.queue or not self.busy)
+                if self.error is not None:
+                    raise self.error
+                if not self.queue:
+                    return
+                args = self.queue.pop()
             _fill(*args)
-        else:
-            task.result()  # re-raises a helper's error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self.cond:
+            self.queue.clear()
+            self.closed = True
+            self.cond.notify_all()
+        for thread in self.threads:
+            thread.join()
 
 
 def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
@@ -200,7 +248,6 @@ def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
     bounded.
     """
     nprop = 0
-    pieces = []
     # reused by every batch: with it and the stacked directions allocated
     # afresh, a cube batch freed more at once than glibc's dynamic trim
     # threshold, so its pages went back to the OS and were faulted in
@@ -218,14 +265,13 @@ def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
             if helpers is None:
                 _fill(dest, body, thetas, offsets)
                 continue
-            _finish(pieces)
-            pieces = []
+            helpers.finish()
             piece = max(1, -(-len(offsets) // split))
-            for lo in range(0, len(offsets), piece):
-                args = (dest[lo:lo + piece], body, thetas[lo:lo + piece],
-                        offsets[lo:lo + piece])
-                pieces.append((helpers.submit(_fill, *args), args))
-    _finish(pieces)
+            helpers.put([(dest[lo:lo + piece], body, thetas[lo:lo + piece],
+                          offsets[lo:lo + piece])
+                         for lo in range(0, len(offsets), piece)])
+    if helpers is not None:
+        helpers.finish()
     return nprop
 
 

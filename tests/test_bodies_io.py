@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sectionlab.errors import DegenerateInput
+from sectionlab.errors import DegenerateInput, InvalidBody
 from sectionlab.geometry import build_polytope, vertices_from_halfspaces, volume
 from sectionlab.io import body_from_dict, load_body
 
@@ -112,5 +112,6 @@ class TestDictForms:
         assert volume(back) == pytest.approx(1.0)
 
     def test_negative_radius(self):
-        with pytest.raises(DegenerateInput):
+        # one radius check, in validate_body, for every way a ball is made
+        with pytest.raises(InvalidBody, match="radius"):
             body_from_dict({"kind": "ball", "center": [0, 0, 0], "radius": -2})

@@ -455,7 +455,9 @@ class TestBandwidths:
                       gen.integers(0, 4, size).astype(float)):
                 mirror = np.concatenate([x, -x])
                 expected = tuple(np.percentile(mirror, [75, 25]))
-                got = density._mirror_quartiles(x, np.empty_like(x))
+                bins = np.empty(size, dtype=np.intp)
+                _, _, counts = density._pair_distance_counts(x, 1000, bins)
+                got = density._mirror_quartiles(x, bins, counts)
                 assert got == expected, size
 
     @pytest.mark.parametrize("size", [17, 72, 1001, (1 << 16) + 8])
@@ -463,11 +465,16 @@ class TestBandwidths:
         # chunked binning of x and -x counts what binning the mirror
         # counts, chunk boundary included, for every size
         for x in sj_samples(size).values():
-            cnt, delta = density._pair_distance_counts(x, 1000)
+            bins = np.empty(size, dtype=np.intp)
+            cnt, delta, counts = density._pair_distance_counts(x, 1000, bins)
             ref_cnt, ref_delta = mirrored_pair_distance_counts(
                 np.concatenate([x, -x]), 1000)
             assert delta == ref_delta
             assert np.array_equal(cnt, ref_cnt)
+            # x's own bins, as binning the mirror puts them
+            ref_bins = np.minimum(((x + x.max()) / delta).astype(np.intp), 999)
+            assert np.array_equal(bins, ref_bins)
+            assert np.array_equal(counts, np.bincount(bins, minlength=1000))
 
     @pytest.mark.parametrize("size", [72, 1000, 4096, (1 << 16) + 8])
     def test_bit_identical_to_the_mirror_when_size_is_a_multiple_of_8(
