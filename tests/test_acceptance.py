@@ -16,7 +16,8 @@ import pytest
 from sectionlab.density import (classical_kde, estimate_root_density,
                                 reflection_kde, root_transform)
 from sectionlab.geometry import builtin_body, build_polytope, mean_width
-from sectionlab.oracles import ball_section_cdf, square_chord_density
+from sectionlab.oracles import (ball_section_cdf, square_chord_cdf,
+                                square_chord_density)
 from sectionlab.rng import RngStream
 from sectionlab.sampling import (
     acceptance_estimate,
@@ -262,3 +263,82 @@ def test_criterion_8_reflection_identity():
                   f"integral={integral:.6f} (tolerance 1e-3) ({elapsed:.0f}s)")
     assert gap <= 1e-12, line
     assert abs(integral - 1.0) <= 1e-3, line
+
+
+# ---------------------------------------------------------------------------
+# The tangent half-angle direction map, in law
+
+
+KS_1PCT = math.sqrt(-math.log(0.005) / 2.0)  # Kolmogorov's 1 % point, 1.628
+LAW_N = 10_000_000
+LAW_BODIES = {"square": ("square", 3), "polygon7": ("polygon7", 3),
+              "cube": ("cube", 3), "dodecahedron": ("dodecahedron", 3),
+              "disk": ("ball", 2), "ball": ("ball", 3)}
+CLOSED_FORMS = {"square": square_chord_cdf,
+                "disk": lambda a: ball_section_cdf(a, dim=2),
+                "ball": ball_section_cdf}
+
+
+def cos_sin_directions(u):
+    """The direction map the sampler used before the half-angle one."""
+    phi = 2.0 * np.pi * u[:, 0]
+    if u.shape[1] == 2:
+        return np.column_stack([np.cos(phi), np.sin(phi)])
+    x = 2.0 * u[:, 1] - 1.0
+    r = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), x])
+
+
+def ks_sorted_vs_cdf(xs, cdf, chunk=1 << 20):
+    """sup |ECDF - F| of the sorted ``xs``, in chunks of bounded memory."""
+    n, stat = xs.size, 0.0
+    for lo in range(0, n, chunk):
+        f = np.asarray(cdf(xs[lo:lo + chunk]), dtype=float)
+        rank = np.arange(lo, lo + f.size)
+        stat = max(stat, np.abs((rank + 1) / n - f).max(),
+                   np.abs(f - rank / n).max())
+    return float(stat)
+
+
+def ks_two_sorted(a, b, chunk=1 << 20):
+    """sup |ECDF_a - ECDF_b| of two sorted samples, in chunks."""
+    stat = 0.0
+    for x, y in ((a, b), (b, a)):
+        for lo in range(0, x.size, chunk):
+            at = x[lo:lo + chunk]
+            gap = (np.searchsorted(x, at, side="right") / x.size
+                   - np.searchsorted(y, at, side="right") / y.size)
+            stat = max(stat, np.abs(gap).max())
+    return float(stat)
+
+
+@pytest.mark.parametrize("name", list(LAW_BODIES))
+def test_half_angle_directions_keep_the_section_law(name, monkeypatch):
+    """1e7 sections drawn with the tangent half-angle directions against
+    1e7 drawn with cos and sin of the angle (another seed), by a
+    two-sample KS test at the 1 % level; where the law has a closed form,
+    the new sample against it too."""
+    import sectionlab.sampling as sampling
+
+    started = time.perf_counter()
+    shape, dim = LAW_BODIES[name]
+    body = builtin_body(shape, dim=dim)
+    new = sample_iur_sections(body, LAW_N, RngStream(2601)).values
+    new.sort()
+    monkeypatch.setattr(sampling, "_directions_from_uniforms",
+                        cos_sin_directions)
+    old = sample_iur_sections(body, LAW_N, RngStream(2602)).values
+    old.sort()
+    stat = ks_two_sorted(new, old)
+    limit = KS_1PCT * math.sqrt(2.0 / LAW_N)
+    detail = f"two-sample KS={stat:.2e} (limit {limit:.2e}"
+    passed = stat <= limit
+    if name in CLOSED_FORMS:
+        one = ks_sorted_vs_cdf(new, CLOSED_FORMS[name])
+        one_limit = KS_1PCT / math.sqrt(LAW_N)
+        passed = passed and one <= one_limit
+        detail += f"; KS to the closed form {one:.2e}, limit {one_limit:.2e}"
+    elapsed = time.perf_counter() - started
+    line = report("law", f"{name} sections from half-angle directions",
+                  passed, f"{detail}, {elapsed:.0f}s)")
+    assert passed, line

@@ -79,17 +79,28 @@ class TestDirections:
         with pytest.raises(ValueError):
             sample_directions(4, 10, RngStream(0))
 
-    def test_2d_directions_are_cos_and_sin_bit_for_bit(self):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_directions_are_the_half_angle_map_bit_for_bit(self, dim):
         from sectionlab.sampling import _directions_from_uniforms
 
-        u = np.random.default_rng(3).random((200_000, 2))
+        u = np.random.default_rng(3).random((200_000, dim))
         u[:8, 0] = [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 2.0 ** -53,
                     1.0 - 2.0 ** -53]
         dirs = _directions_from_uniforms(u)
-        phi = 2.0 * np.pi * u[:, 0]
-        expected = np.column_stack([np.cos(phi), np.sin(phi)])
+        t = np.tan(np.pi * u[:, 0])
+        cos = (1.0 - t * t) / (1.0 + t * t)
+        sin = (t + t) / (1.0 + t * t)
+        expected = np.column_stack([cos, sin])
+        if dim == 3:
+            x = 2.0 * u[:, 1] - 1.0
+            r = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+            expected = np.column_stack([r * cos, r * sin, x])
         assert dirs.shape == u.shape and dirs.flags.c_contiguous
         assert np.array_equal(dirs.view(np.int64), expected.view(np.int64))
+        # at most 2 ulp of 1 from the cos and sin of phi = 2 pi u0
+        phi = 2.0 * np.pi * u[:, 0]
+        assert np.abs(cos - np.cos(phi)).max() <= 2 * np.spacing(1.0)
+        assert np.abs(sin - np.sin(phi)).max() <= 2 * np.spacing(1.0)
 
 
 class TestIurSampling:
@@ -408,8 +419,8 @@ try:
                         "-o", "square.csv"], prog_name="sectionlab")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "pools": pools, "loaded": [
-    name for name in ("concurrent.futures", "logging") if name in sys.modules]}))
+loaded = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+print(json.dumps({"code": code, "pools": pools, "loaded": loaded}))
 """
 
 
@@ -426,9 +437,10 @@ class TestHelperImports:
         import sectionlab
 
         src = os.path.dirname(os.path.dirname(sectionlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", NO_EXECUTOR_SCRIPT],
-                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=300)
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
         assert report == {"code": 0, "pools": [1], "loaded": []}
