@@ -223,9 +223,12 @@ def density(config):
 @_command
 def ecdf(config):
     """Empirical CDF of (root-transformed) section volumes."""
-    result = _sample(_body(config), config)
-    root = config.scale == "root"
-    cdf = empirical_cdf(root_transform(result) if root else result.values)
+    body = _body(config)
+    if config.scale == "root":  # handed over: 3D roots overwrite the volumes
+        values = root_transform(_sample(body, config))
+    else:
+        values = _sample(body, config).values
+    cdf = empirical_cdf(values)
     save_step_cdf_csv(cdf, config.output, config=config.to_dict())
     click.echo(f"wrote {config.output} ({len(cdf.locations)} steps)")
 

@@ -28,6 +28,7 @@ sum each point's occupied nodes, at one exp a term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,11 @@ _KERNEL_REACH = 40.0  # kernel underflows to exactly 0.0 beyond ~38.6 h
 _BINS_PER_H = 32  # the binned KDE's lattice spacing is h / 32
 _BIN_CHUNK = 1 << 16  # points binned per np.bincount call
 _MAX_GRID_POINTS = 1 << 16  # cap on the default grid's point count
+
+# sys.getrefcount counts every reference on CPython up to 3.13; 3.14 may
+# lend it an argument without one, so there no array counts as handed over
+_EXACT_REFCOUNTS = (sys.implementation.name == "cpython"
+                    and sys.version_info < (3, 14))
 
 ROOT_SCALE = "root_scale"
 VOLUME_SCALE = "volume_scale"
@@ -134,12 +140,27 @@ def root_transform(sample: SectionSample) -> np.ndarray:
     """(n-1)-th root of the section volumes: identity in 2D, sqrt in 3D.
 
     In 2D the result is the sample's own array, which callers only read.
+    In 3D the roots of a sample handed over, passed without a reference
+    kept as in ``root_transform(sample_iur_sections(...))``, are written
+    over its volumes; a sample still held elsewhere is never changed.
     """
-    if sample.dim == 2:
-        return sample.values
-    if sample.dim == 3:
-        return np.sqrt(sample.values)
-    raise ValueError("sample dimension must be 2 or 3")
+    x, dim = sample.values, sample.dim
+    del sample  # a handed-over sample is freed here
+    return _roots(x, dim)
+
+
+def _roots(x: np.ndarray, dim: int) -> np.ndarray:
+    """``root_transform`` of the volumes ``x``, written over x in 3D when
+    the caller's variable is x's only reference, the rule numpy's
+    temporary elision uses.  Call it straight from the frame holding x."""
+    if dim == 2:
+        return x
+    if dim != 3:
+        raise ValueError("sample dimension must be 2 or 3")
+    # the caller's variable, this call's argument and getrefcount's
+    sole = (_EXACT_REFCOUNTS and sys.getrefcount(x) == 3
+            and x.base is None and x.flags.writeable)
+    return np.sqrt(x, out=x if sole else None)
 
 
 def untransform_density(estimate: DensityEstimate,
@@ -308,7 +329,8 @@ def _kde_sample(x, h: float) -> np.ndarray:
         raise EmptySample("cannot estimate a density from no data")
     if not h > 0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    if not np.isfinite(x).all():
+    # min and max, not an N-element mask; NaN reaches both
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("KDE data must be finite")
     return x
 
@@ -331,7 +353,7 @@ def reflection_kde(x, h: float, grid, bandwidth_method: str = "fixed"
     exactly, the sum at z adds the sample's sums at z and at -z.
     """
     x = _kde_sample(x, h)
-    if (x < 0).any():
+    if x.min() < 0:
         raise ValueError("reflection KDE expects nonnegative data")
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
@@ -449,15 +471,32 @@ def _hermite6(u):
     return u ** 3 - 15.0 * u ** 2 + 45.0 * u - 15.0
 
 
+def _square_sum(x: np.ndarray) -> float:
+    """``np.square(x).sum()``, bit for bit, from squares of at most
+    ``_BIN_CHUNK`` values at a time.
+
+    numpy sums a contiguous array pairwise: n > 128 values split at
+    n // 2 - n // 2 % 8 and the two halves' sums are added.  Cutting x
+    along that tree until a block fits keeps every addition.
+    """
+    if x.size <= _BIN_CHUNK:
+        return float(np.square(x).sum())
+    half = x.size // 2
+    half -= half % 8
+    return _square_sum(x[:half]) + _square_sum(x[half:])
+
+
 def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     """Solve-the-equation plug-in bandwidth on the mirrored 2N sample.
 
     The input is the nonnegative (root-scale) sample; selection runs on
     {x_i} U {-x_i} so the returned bandwidth is the one to feed directly
     into ``reflection_kde``.  The mirror is never built: its quartiles,
-    standard deviation (its mean is 0, so sqrt(mean(x^2))) and binned
-    pair counts all come from x, and beyond x the solve holds at most one
-    N-float scratch array at a time.  The quartiles are exact order
+    standard deviation (its mean is 0, so sqrt(mean(x^2)), the squares
+    summed block by block along numpy's own pairwise tree) and binned
+    pair counts all come from x.  Beyond x the solve holds 2 bytes a
+    point for the pair counts' bins and scratch blocks of ``_BIN_CHUNK``
+    values, never a second N-float array.  The quartiles are exact order
     statistics of x, found by partitioning only the points of the pair
     counts' bins that hold them (``_mirror_quartiles``).  The plug-in equation
     ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by bisection on
@@ -472,9 +511,7 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
     if np.ptp(x) == 0:  # exact: a constant sample can have std 1e-17
         raise ZeroVariance("sample has zero variance")
     n = 2 * x.size  # the mirror's size
-    # x^2 first: the bins and binning temporaries then reuse the memory
-    # its N floats free, instead of raising the peak RSS
-    sd = math.sqrt(float(np.square(x).sum()) / x.size)
+    sd = math.sqrt(_square_sum(x) / x.size)
     bins = np.empty(x.size, np.min_scalar_type(-nbins))  # 2 bytes a point
     cnt, delta, x_counts = _pair_distance_counts(x, nbins, bins)
     q75, q25 = _mirror_quartiles(x, bins, x_counts)
@@ -525,11 +562,18 @@ def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
 
 def empirical_cdf(x) -> StepCDF:
     """Right-continuous ECDF with tied values merged."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
+    xs = np.sort(np.asarray(x, dtype=float))
+    n = xs.size
+    if n == 0:
         raise EmptySample("ECDF needs at least one observation")
-    locations, counts = np.unique(x, return_counts=True)
-    cum = np.cumsum(counts) / x.size
+    if np.isnan(xs[-1]):  # NaN sorts last
+        raise ValueError("ECDF data must not be NaN")
+    last = np.empty(n, dtype=bool)  # the last value of each run of ties
+    np.not_equal(xs[1:], xs[:-1], out=last[:-1])
+    last[-1] = True
+    locations = xs[last]
+    del xs
+    cum = (np.flatnonzero(last) + 1) / n
     cum[-1] = 1.0
     return StepCDF(locations, cum)
 
@@ -539,11 +583,16 @@ def estimate_root_density(sample: SectionSample,
                           bandwidth: float | None = None) -> DensityEstimate:
     """Root transform, bandwidth selection and reflection KDE in one step.
 
-    A caller that hands over its only reference to ``sample`` frees the 3D
-    section volumes once their roots exist.
+    A caller that hands over its only reference to ``sample`` lends it
+    the volumes' buffer: in 3D the roots are written over the volumes, so
+    the N section values are held once from the sampler to the KDE.  A
+    sample the caller still holds is copied and never changed; so is
+    every sample on CPython 3.10, which keeps call arguments alive until
+    the call returns, and on 3.14 (see ``_EXACT_REFCOUNTS``).
     """
-    x = root_transform(sample)
-    del sample
+    x, dim = sample.values, sample.dim
+    del sample  # a handed-over sample is freed here
+    x = _roots(x, dim)
     if bandwidth is None:
         h, method = sheather_jones_bandwidth(x)
     else:

@@ -25,6 +25,7 @@ from .geometry import (ConvexBody, build_polytope, validate_body,
                        vertices_from_halfspaces)
 from .sampling import SectionSample
 
+_ROW_BLOCK = 1 << 16  # CSV rows formatted per block
 _SAMPLE_FIELDS = ("body_label", "dim", "seed", "n_proposed", "n_accepted",
                   "workers")
 
@@ -36,7 +37,15 @@ def write_json(payload: dict, path) -> None:
 
 
 def write_csv(path, header: dict, columns, names: str | None = None) -> None:
-    """Header lines (``None`` values skipped), the names line, then rows."""
+    """Header lines (``None`` values skipped), the names line, then rows.
+
+    The rows are formatted ``_ROW_BLOCK`` at a time, so the Python floats
+    a row's repr needs, 32 bytes each, exist for one block and not for
+    the whole columns.  The rows stop at the shortest column.
+    """
+    columns = [np.asarray(c, float) for c in columns]
+    rows = min(map(len, columns), default=0)
+    line = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         for key, value in header.items():
             if isinstance(value, dict):
@@ -45,9 +54,9 @@ def write_csv(path, header: dict, columns, names: str | None = None) -> None:
                 fh.write(f"# {key}: {value}\n")
         if names is not None:
             fh.write(names + "\n")
-        line = ",".join(["%r"] * len(columns)) + "\n"
-        for row in zip(*(np.asarray(c, float).tolist() for c in columns)):
-            fh.write(line % row)
+        for start in range(0, rows, _ROW_BLOCK):
+            block = (c[start:start + _ROW_BLOCK].tolist() for c in columns)
+            fh.writelines(line % row for row in zip(*block))
 
 
 def read_csv(path, width: int, names: str | None = None
@@ -123,11 +132,23 @@ def load_sample_csv(path) -> SectionSample:
 
 def save_sample_json(sample: SectionSample, path, config: dict | None = None
                      ) -> None:
+    """``write_json`` of the fields and values, bit for bit, with the
+    values encoded ``_ROW_BLOCK`` at a time into the place of an empty
+    list, so their Python floats never exist all at once."""
     payload = {key: getattr(sample, key) for key in _SAMPLE_FIELDS}
-    payload["values"] = sample.values.tolist()
+    payload["values"] = []
     if config is not None:
         payload["config"] = config
-    write_json(payload, path)
+    # only "workers", an int, sorts after "values": its list is the last
+    head, _, tail = json.dumps(payload, sort_keys=True).rpartition(
+        '"values": []')
+    values = sample.values
+    with open(path, "w") as fh:
+        fh.write(head + '"values": [')
+        for start in range(0, values.size, _ROW_BLOCK):
+            block = values[start:start + _ROW_BLOCK].tolist()
+            fh.write((", " if start else "") + json.dumps(block)[1:-1])
+        fh.write("]" + tail + "\n")
 
 
 def load_sample_json(path) -> SectionSample:

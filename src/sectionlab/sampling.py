@@ -62,7 +62,8 @@ class SectionSample:
             raise ValueError("n_accepted must equal len(values)")
         if self.n_accepted > self.n_proposed:
             raise ValueError("cannot accept more than proposed")
-        if not (self.values >= 0).all():  # also catches NaN
+        # min, not an N-element mask; a NaN minimum fails the test too
+        if self.values.size and not self.values.min() >= 0:
             raise ValueError("section volumes must be nonnegative")
 
 

@@ -149,8 +149,7 @@ def sample_profile_sizes(body: ConvexBody, h: SizeDistribution, size: int,
     Realizes the scale mixture exactly: a biased size times the root
     section area of a fresh isotropic section of the unit-size reference.
     """
-    sections = sample_iur_sections(body, size, rng.derive(0))
-    roots = root_transform(sections)
+    roots = root_transform(sample_iur_sections(body, size, rng.derive(0)))
     biased = length_biased(h)
     sizes = biased.sample(size, rng.derive(1).generator())
     return sizes * roots

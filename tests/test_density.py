@@ -31,6 +31,11 @@ from sectionlab.rng import RngStream
 from sectionlab.sampling import SectionSample, sample_iur_sections
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+HANDED_OVER = pytest.mark.skipif(
+    not density._EXACT_REFCOUNTS or sys.version_info < (3, 11), reason=(
+        "CPython 3.10 keeps call arguments on the caller's stack until the "
+        "call returns, and 3.14 may count fewer references than exist, so "
+        "there every 3D sample is copied"))
 
 
 def make_sample(values, dim):
@@ -38,6 +43,20 @@ def make_sample(values, dim):
     return SectionSample(values=values, n_proposed=len(values),
                          n_accepted=len(values), seed=0, body_label="t",
                          dim=dim)
+
+
+def sj_inputs(monkeypatch):
+    """The list that every array passed to the bandwidth selector is
+    appended to, from now until the test ends."""
+    seen = []
+    real_sj = density.sheather_jones_bandwidth
+
+    def spy(x, nbins=1000):
+        seen.append(x)
+        return real_sj(x, nbins)
+
+    monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
+    return seen
 
 
 def sj_direct_reference(x):
@@ -292,6 +311,22 @@ class TestBinnedKde:
         with pytest.raises(ValueError):
             classical_kde(np.array([1.0, np.nan]), 0.1, np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_value_is_rejected_by_both_kdes(self, bad):
+        for at in (0, 2, 4):  # first, middle, last
+            x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+            x[at] = bad
+            for kde in (classical_kde, reflection_kde):
+                with pytest.raises(ValueError, match="finite"):
+                    kde(x, 0.1, np.array([0.0, 1.0]))
+
+    def test_reflection_rejects_negative_data(self):
+        for x in ([-1e-300, 1.0], [1.0, -0.5], [2.0, 1.0, -3.0]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                reflection_kde(np.array(x), 0.1, np.array([0.0]))
+        # -0.0 is not negative
+        reflection_kde(np.array([-0.0, 1.0]), 0.1, np.array([0.0]))
+
 
 def _lattice(x, h, grid):
     """The lattice spacing and stride the KDEs use on ``grid``, after
@@ -495,6 +530,15 @@ class TestBandwidths:
             assert method == ref_method, name
             assert abs(h - ref_h) <= 1e-8 * ref_h, name
 
+    @pytest.mark.parametrize("size", [
+        1, 7, 8, 128, 65_535, 65_536, 65_537, 131_071, 131_072, 131_073,
+        1_000_000, 3_000_005])
+    def test_square_sum_is_numpys_bit_for_bit(self, size):
+        gen = np.random.default_rng(size)
+        for scale in (1e-150, 1e-3, 1.0, 1e7, 1e150):
+            x = gen.gamma(2.0, scale, size)
+            assert density._square_sum(x) == float(np.square(x).sum())
+
     def test_memory_is_one_scratch_copy_of_the_sample(self):
         x = np.random.default_rng(12).gamma(2.0, 1.0, 1_000_000)
         sheather_jones_bandwidth(x[:1000])  # first-call allocations
@@ -576,6 +620,21 @@ class TestEmpiricalCdf:
         assert cdf.evaluate(1.0) == 0.5
         assert cdf.evaluate(np.nextafter(1.0, 0.0)) == 0.0
 
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_cdf(np.array([1.0, np.nan, 2.0, np.nan]))
+
+    def test_equals_the_unique_counts_construction(self):
+        gen = np.random.default_rng(40)
+        for x in (gen.random(10_001), gen.integers(0, 50, 10_000) / 7.0,
+                  np.zeros(5), np.array([3.0])):
+            locations, counts = np.unique(x, return_counts=True)
+            cum = np.cumsum(counts) / x.size
+            cum[-1] = 1.0
+            cdf = empirical_cdf(x)
+            assert np.array_equal(cdf.locations, locations)
+            assert np.array_equal(cdf.cumulative, cum)
+
 
 class TestStepCdf:
     def test_invariants_enforced(self):
@@ -619,39 +678,24 @@ class TestPipeline:
     def test_2d_sample_is_read_in_place(self, square, monkeypatch):
         sample = sample_iur_sections(square, 2000, RngStream(24))
         sample.values.flags.writeable = False
-        seen = []
-        real_sj = density.sheather_jones_bandwidth
-
-        def spy(x, nbins=1000):
-            seen.append(x)
-            return real_sj(x, nbins)
-
-        monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
+        seen = sj_inputs(monkeypatch)
         estimate_root_density(sample)
         assert seen[0] is sample.values  # no copy of the sample
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "CPython 3.10 keeps call arguments on the caller's stack until the "
-        "call returns, so the caller's temporary outlives the roots"))
+    @HANDED_OVER
     @pytest.mark.parametrize("caller", ["estimate", "reference", "cli"])
-    def test_3d_volumes_freed_once_roots_exist(self, cube, monkeypatch,
-                                               tmp_path, caller):
+    def test_3d_roots_take_the_sampled_buffer(self, cube, monkeypatch,
+                                              tmp_path, caller):
         from sectionlab import cli, stereology
 
-        volumes, alive = [], []
+        volumes, seen = [], sj_inputs(monkeypatch)
 
         def recording_sample(*args, **kwargs):
             sample = sample_iur_sections(*args, **kwargs)
-            volumes.append(weakref.ref(sample.values))
+            volumes.append((weakref.ref(sample.values),
+                            np.sqrt(sample.values)))
             return sample
 
-        real_sj = density.sheather_jones_bandwidth
-
-        def spy(x, nbins=1000):
-            alive.append(volumes[0]() is not None)
-            return real_sj(x, nbins)
-
-        monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
         monkeypatch.setattr(stereology, "sample_iur_sections",
                             recording_sample)
         monkeypatch.setattr(cli, "sample_iur_sections", recording_sample)
@@ -663,7 +707,79 @@ class TestPipeline:
         else:
             cli.main.main(["density", "--shape", "cube", "--n", "2000", "-o",
                            str(tmp_path / "cube.csv")], standalone_mode=False)
-        assert alive == [False]
+        (volume_ref, roots), = volumes
+        # SJ reads the sampled array itself, now holding the roots: no
+        # second N-float array of the sample ever exists
+        assert len(seen) == 1 and seen[0] is volume_ref()
+        assert np.array_equal(seen[0], roots)
+
+    @HANDED_OVER
+    def test_ecdf_roots_take_the_sampled_buffer(self, monkeypatch, tmp_path):
+        from sectionlab import cli
+
+        volumes, seen = [], []
+
+        def recording_sample(*args, **kwargs):
+            sample = sample_iur_sections(*args, **kwargs)
+            volumes.append(weakref.ref(sample.values))
+            return sample
+
+        def spy(x):
+            seen.append(x)
+            return empirical_cdf(x)
+
+        monkeypatch.setattr(cli, "sample_iur_sections", recording_sample)
+        monkeypatch.setattr(cli, "empirical_cdf", spy)
+        cli.main.main(["ecdf", "--shape", "cube", "--n", "2000", "-o",
+                       str(tmp_path / "cube.csv")], standalone_mode=False)
+        assert seen[0] is volumes[0]()
+
+    def test_held_3d_sample_is_copied_and_kept(self, cube, monkeypatch):
+        sample = sample_iur_sections(cube, 2000, RngStream(26))
+        before = sample.values.copy()
+        seen = sj_inputs(monkeypatch)
+        held = estimate_root_density(sample)
+        assert np.array_equal(sample.values, before)
+        assert seen[0] is not sample.values
+        assert np.array_equal(seen[0], np.sqrt(before))
+        # a handed-over copy of the same sample gives the same estimate
+        handed = estimate_root_density(make_sample(before.copy(), dim=3))
+        assert handed.bandwidth == held.bandwidth
+        assert np.array_equal(handed.values, held.values)
+
+    def test_views_and_read_only_volumes_are_copied(self, cube):
+        # each sample below is handed over, but its volumes are a view of
+        # a held array, or read-only, so the roots go to a new array
+        volumes = sample_iur_sections(cube, 500, RngStream(27)).values
+        roots = np.sqrt(volumes)
+
+        def read_only():
+            frozen = volumes.copy()
+            frozen.flags.writeable = False
+            return frozen
+
+        # called outside the asserts, whose rewriting holds temporaries
+        base = volumes.copy()
+        of_view = root_transform(make_sample(base[:], 3))
+        of_read_only = root_transform(make_sample(read_only(), 3))
+        assert np.array_equal(base, volumes)
+        assert np.array_equal(of_view, roots)
+        assert np.array_equal(of_read_only, roots)
+
+    @pytest.mark.parametrize("name", [
+        "square", pytest.param("cube", marks=HANDED_OVER)])
+    def test_handed_over_sample_allocates_under_half_its_size(self, name):
+        body = builtin_body(name)
+        estimate_root_density(sample_iur_sections(body, 2000, RngStream(1)))
+        size = 1_000_000
+        handed = [sample_iur_sections(body, size, RngStream(31))]
+        tracemalloc.start()
+        try:
+            estimate_root_density(handed.pop())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * size
 
     def test_default_grid_covers_boundary(self):
         grid = default_grid(np.array([1.0, 2.0]), h=0.1, grid_points=64)

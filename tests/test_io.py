@@ -9,6 +9,7 @@ from sectionlab.io import (
     read_csv,
     save_density_csv,
     save_step_cdf_csv,
+    write_csv,
     write_json,
 )
 from sectionlab.rng import RngStream
@@ -69,3 +70,33 @@ def test_write_json_sorts_keys(tmp_path):
     path = tmp_path / "x.json"
     write_json({"b": 1, "a": [2.5]}, path)
     assert path.read_text() == '{"a": [2.5], "b": 1}\n'
+
+
+def _one_line_writer(path, header, columns, names=None):
+    """write_csv as it was before it wrote rows in blocks: the reference."""
+    with open(path, "w") as fh:
+        for key, value in header.items():
+            if isinstance(value, dict):
+                value = json.dumps(value, sort_keys=True)
+            if value is not None:
+                fh.write(f"# {key}: {value}\n")
+        if names is not None:
+            fh.write(names + "\n")
+        line = ",".join(["%r"] * len(columns)) + "\n"
+        for row in zip(*(np.asarray(c, float).tolist() for c in columns)):
+            fh.write(line % row)
+
+
+def test_block_writer_keeps_the_one_line_writers_bytes(tmp_path):
+    gen = np.random.default_rng(9)
+    rows = 200_001  # three blocks, the last of 3 393 rows
+    first = gen.random(rows) * 10.0 ** gen.integers(-300, 300, rows)
+    first[:6] = [0.0, -0.0, 1e-320, np.inf, np.nan, 0.1]
+    second = gen.standard_normal(rows)
+    header = {"config": {"b": 1, "a": [2]}, "skipped": None, "n": rows}
+    for columns, names in (([first, second], "x,y"), ([first], None),
+                           ([first, second[:70_000]], "x,y"), ([], None)):
+        write_csv(tmp_path / "new.csv", header, columns, names)
+        _one_line_writer(tmp_path / "old.csv", header, columns, names)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())

@@ -9,6 +9,7 @@ from sectionlab.io import (
     load_sample_json,
     save_sample_csv,
     save_sample_json,
+    write_json,
 )
 from sectionlab.oracles import square_chord_cdf
 from sectionlab.rng import RngStream
@@ -497,6 +498,21 @@ class TestAcceptanceEstimate:
             SectionSample(values=np.array([np.nan, 1.0]), n_proposed=2,
                           n_accepted=2, seed=0, body_label="x", dim=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, -1e-300])
+    def test_bad_value_raises_wherever_it_is(self, bad):
+        for at in (0, 1, 2):
+            values = np.array([1.0, 2.0, 3.0])
+            values[at] = bad
+            with pytest.raises(ValueError, match="nonnegative"):
+                SectionSample(values=values, n_proposed=3, n_accepted=3,
+                              seed=0, body_label="x", dim=2)
+
+    def test_zero_and_empty_values_are_accepted(self):
+        for values in ([0.0, -0.0, 1.0], []):
+            SectionSample(values=np.array(values), n_proposed=3,
+                          n_accepted=len(values), seed=0, body_label="x",
+                          dim=2)
+
 
 class TestSampleFiles:
     def test_csv_roundtrip(self, square, tmp_path):
@@ -527,6 +543,25 @@ class TestSampleFiles:
         back = load_sample_json(path)
         assert np.array_equal(back.values, sample.values)
         assert back.body_label == "cube"
+
+    def test_json_blocks_keep_write_jsons_bytes(self, tmp_path):
+        gen = np.random.default_rng(8)
+        for size in (0, 1, 65_536, 200_001):
+            values = gen.random(size) * 10.0 ** gen.integers(-300, 300, size)
+            values[:min(size, 3)] = [0.0, np.inf, 1e-320][:size]
+            sample = SectionSample(values=values, n_proposed=size + 5,
+                                   n_accepted=size, seed=3, body_label="b",
+                                   dim=3, workers=2)
+            # a config holding a "values" key and an empty list as a string
+            config = {"values": [], "output": '"values": []', "n": size}
+            save_sample_json(sample, tmp_path / "new.json", config=config)
+            payload = {key: getattr(sample, key) for key in (
+                "body_label", "dim", "seed", "n_proposed", "n_accepted",
+                "workers")}
+            write_json({**payload, "values": values.tolist(),
+                        "config": config}, tmp_path / "old.json")
+            assert ((tmp_path / "new.json").read_bytes()
+                    == (tmp_path / "old.json").read_bytes()), size
 
 
 class TestDistributionInvariances:
