@@ -6,9 +6,9 @@ kernel term across 0 (the reflection method, so no mass is placed below
 zero), pick the bandwidth with the Sheather-Jones solve-the-equation
 plug-in applied to the mirrored sample of size 2N, and if the volume
 scale is wanted, change variables back pointwise.  Neither step builds
-the mirror: the plug-in takes the mirror's quartiles, standard deviation
-and binned pair counts from the sample itself, and the KDE folds each
-lattice node's weight onto its mirror node.
+the mirror, and both bin the sample linearly with ``_half_bins``: the
+plug-in takes the mirror's quartiles and pair counts from its lattice,
+and the KDE folds each lattice node's weight onto its mirror node.
 
 Each grid point's kernel sum runs only over a window of 40 bandwidths,
 beyond which every term underflows to 0.0.  Small samples are summed
@@ -41,6 +41,8 @@ _KERNEL_REACH = 40.0  # kernel underflows to exactly 0.0 beyond ~38.6 h
 _BINS_PER_H = 32  # the binned KDE's lattice spacing is h / 32
 _BIN_CHUNK = 1 << 16  # points binned per np.bincount call
 _MAX_GRID_POINTS = 1 << 16  # cap on the default grid's point count
+_HERMITE4 = (-6.0, 3.0)  # He_4(x) = u^2 - 6 u + 3 with u = x^2
+_HERMITE6 = (-15.0, 45.0, -15.0)  # He_6(x) = u^3 - 15 u^2 + 45 u - 15
 
 # sys.getrefcount counts every reference on CPython up to 3.13; 3.14 may
 # lend it an argument without one, so there no array counts as handed over
@@ -390,31 +392,30 @@ def default_grid(x, h: float, grid_points: int | None = None) -> np.ndarray:
 # Bandwidth selection
 
 
-def _mirror_quartiles(x: np.ndarray, bins: np.ndarray, counts: np.ndarray
+def _mirror_quartiles(x: np.ndarray, weights: np.ndarray, delta: float
                       ) -> tuple[float, float]:
     """``np.percentile(np.concatenate([x, -x]), [75, 25])``, bit for bit,
-    from ``x`` alone.
+    from ``x`` and its ``weights`` on the nodes k * delta (``_half_bins``).
 
-    Sorted, the 2N-point mirror's top half is xs, the sorted sample, and
-    numpy's linear method puts its 75th percentile at rank (2N - 1) * 0.75
-    of the mirror, between xs[k] and xs[k + 1].  x_i's bin in ``bins`` is
-    nondecreasing in x_i, so these lie in the bins where the cumulative
-    ``counts`` pass k and k + 1, and only those bins' points are
-    partitioned.  The rank's fraction is 0.25 or 0.75, never 0.5, so numpy
-    takes the 25th percentile with the mirrored formula from the negated
-    pair: it is exactly -q75.
+    numpy puts the mirror's 75th percentile between the sample's order
+    statistics xs[k] and xs[k + 1].  The weight C_j of nodes 0..j lies
+    between the counts of points below j * delta and (j + 1) * delta, so
+    xs[k] >= j * delta for the last C_j <= k and xs[k + 1] < (j + 1) delta
+    for the first C_j > k + 1.5, to a node of slack for rounding; only the
+    points in that bracket are partitioned.  The 25th is exactly -q75.
     """
     n = x.size
     virtual = (2 * n - 1) * 0.75  # exact, as numpy computes it
     rank = math.floor(virtual)
     k, t = rank - n, virtual - rank
-    cum = np.cumsum(counts)
-    first, last = np.searchsorted(cum, [k, k + 1], side="right")
-    k -= int(cum[first] - counts[first])  # rank among the gathered points
+    first, last = np.searchsorted(np.cumsum(weights), [k, k + 1.5],
+                                  side="right")
+    lo, hi = max(int(first) - 2, 0) * delta, (int(last) + 2) * delta
     parts = []
     for start in range(0, n, _BIN_CHUNK):
-        b = bins[start:start + _BIN_CHUNK]
-        parts.append(x[start:start + _BIN_CHUNK][(b >= first) & (b <= last)])
+        chunk = x[start:start + _BIN_CHUNK]
+        k -= int(np.count_nonzero(chunk < lo))
+        parts.append(chunk[(chunk >= lo) & (chunk < hi)])
     part = np.concatenate(parts)
     part.partition([k, k + 1])
     a, b = float(part[k]), float(part[k + 1])
@@ -422,53 +423,42 @@ def _mirror_quartiles(x: np.ndarray, bins: np.ndarray, counts: np.ndarray
     return q75, -q75
 
 
-def _pair_distance_counts(x: np.ndarray, nbins: int, bins: np.ndarray):
-    """Binned counts of unordered pair distances in the mirrored sample
-    {x_i} U {-x_i}, as used by the plug-in.
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length numpy's FFT takes fast."""
+    return min(p << (-(-n // p) - 1).bit_length()
+               for p in (3 ** i * 5 ** j for i in range(12) for j in range(8)))
 
-    Returns (counts, delta, x_counts) where counts[k] is the number of
-    unordered pairs whose binned distance is k * delta, and x_counts[j]
-    the number of x_i in bin j; ``bins`` receives each x_i's bin.  The
-    mirror's range is [-m, m] with m = max|x|; x and -x are binned chunk
-    by chunk with the float operations that binning the mirror would use.
+
+def _mirror_pair_counts(w: np.ndarray) -> np.ndarray:
+    """Binned pair counts of the mirrored sample at the lags 0..2 top, from
+    the sample's weights w on the nodes 0..top (``_half_bins``).
+
+    The mirror's lattice holds w_|j| on node j and 2 w_0 on node 0, so its
+    autocorrelation is A(k) = 2 sum_j w_j w_{j+k} + sum_{a+b=k} w_a w_b,
+    plus w_0^2 at k = 0: one FFT of w and one inverse, of length at least
+    3 top + 1 so that the wrapped negative lags miss those kept.  A(0) is
+    halved, so 2 sum_k counts[k] L(k delta) sums L over all ordered pairs.
     """
-    hi = max(x.max(), -x.min())
-    lo = -hi
-    delta = (hi - lo) / nbins
-    w = np.zeros((2, nbins), dtype=np.intp)  # x's bins, then -x's
-    for start in range(0, x.size, _BIN_CHUNK):
-        chunk = x[start:start + _BIN_CHUNK]
-        halves = ((chunk, bins[start:start + _BIN_CHUNK]), (-chunk, None))
-        for counts, (half, idx) in zip(w, halves):
-            idx = np.minimum(((half - lo) / delta).astype(np.intp), nbins - 1,
-                             out=idx)
-            counts += np.bincount(idx, minlength=nbins)
-    total = w.sum(axis=0).astype(float)
-    cnt = np.correlate(total, total, mode="full")[nbins - 1:]
-    cnt[0] = (cnt[0] - 2 * x.size) / 2.0
-    return cnt, delta, w[0]
+    size = _fft_length(3 * w.size - 2)  # 3 top + 1
+    f = np.fft.rfft(w, size)
+    counts = np.fft.irfft(f * (2.0 * f.conj() + f), size)[:2 * w.size - 1]
+    counts[0] = 0.5 * (counts[0] + w[0] ** 2)
+    return counts
 
 
-def _binned_functional(cnt, delta, n, h, hermite, power):
+def _binned_functional(counts, lag2, n, h, hermite, power):
     """Binned estimate of a density functional from the Gaussian kernel
-    derivative whose polynomial part, in u = (distance / h)^2, is
-    ``hermite``, scaled by h^-``power``."""
-    k = np.arange(cnt.size)
-    u = (k * delta / h) ** 2
-    mask = u < 1000.0
-    term = np.exp(-0.5 * u[mask]) * hermite(u[mask])
-    total = 2.0 * float(term @ cnt[mask]) + n * hermite(0.0)
+    derivative whose monic polynomial part in u = (distance / h)^2 has the
+    lower coefficients ``hermite``, scaled by h^-``power``, at the lags'
+    squared distances ``lag2``; lags with u >= 1000 weigh < e^-500."""
+    u = lag2[:np.searchsorted(lag2, 1000.0 * h * h)] * (1.0 / (h * h))
+    term = u + hermite[0]
+    for c in hermite[1:]:  # Horner's rule
+        term *= u
+        term += c
+    term *= np.exp(-0.5 * u)
+    total = 2.0 * float(term @ counts[:u.size])
     return total / (n * (n - 1.0) * h**power * _SQRT2PI)
-
-
-def _hermite4(u):
-    """He_4(x) = x^4 - 6 x^2 + 3 with u = x^2."""
-    return u ** 2 - 6.0 * u + 3.0
-
-
-def _hermite6(u):
-    """He_6(x) = x^6 - 15 x^4 + 45 x^2 - 15 with u = x^2."""
-    return u ** 3 - 15.0 * u ** 2 + 45.0 * u - 15.0
 
 
 def _square_sum(x: np.ndarray) -> float:
@@ -486,74 +476,90 @@ def _square_sum(x: np.ndarray) -> float:
     return _square_sum(x[:half]) + _square_sum(x[half:])
 
 
-def sheather_jones_bandwidth(x, nbins: int = 1000) -> tuple[float, str]:
+def _sj_root(weights, delta, n, scale, h_silver) -> tuple[float, str]:
+    """The plug-in's root from the sample's weights on the nodes k * delta,
+    to 1e-8 relative; h_silver if none is in (h_silver/1000, 100 h_silver)."""
+    counts = _mirror_pair_counts(weights)
+    lag2 = (np.arange(counts.size) * delta) ** 2
+    a = 0.920 * scale * n ** (-1.0 / 7.0)
+    b = 0.912 * scale * n ** (-1.0 / 9.0)
+    sda = _binned_functional(counts, lag2, n, a, _HERMITE4, 5)
+    tdb = -_binned_functional(counts, lag2, n, b, _HERMITE6, 7)
+    if not (sda > 0 and tdb > 0):
+        return h_silver, "silverman_fallback"
+    c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
+    alpha_const = 1.357 * (sda / tdb) ** (1.0 / 7.0)
+
+    def log_gap(t):  # log of the equation's right side at h = e^t, less t
+        s = _binned_functional(counts, lag2, n,
+                               alpha_const * math.exp(t * 5.0 / 7.0),
+                               _HERMITE4, 5)
+        return 0.2 * math.log(c1 / s) - t if s > 0 else math.nan
+
+    # false position in t = log h, where the gap is nearly linear; an end
+    # kept twice has its gap halved (Illinois), and each step lands 4e-9 in
+    lo, hi = math.log(h_silver / 1000.0), math.log(h_silver * 100.0)
+    flo, fhi, kept = log_gap(lo), log_gap(hi), None
+    if not (math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0):
+        return h_silver, "silverman_fallback"
+    while hi - lo > 1e-8:
+        t = min(max(lo - flo * (hi - lo) / (fhi - flo), lo + 4e-9), hi - 4e-9)
+        ft = log_gap(t)
+        if not math.isfinite(ft):
+            return h_silver, "silverman_fallback"
+        if (ft > 0) == (flo > 0):
+            lo, flo, fhi = t, ft, fhi * (0.5 if kept == "hi" else 1.0)
+            kept = "hi"
+        else:
+            hi, fhi, flo = t, ft, flo * (0.5 if kept == "lo" else 1.0)
+            kept = "lo"
+    return math.exp(0.5 * (lo + hi)), "sheather_jones"
+
+
+def sheather_jones_bandwidth(x, nbins: int = 1 << 16) -> tuple[float, str]:
     """Solve-the-equation plug-in bandwidth on the mirrored 2N sample.
 
     The input is the nonnegative (root-scale) sample; selection runs on
-    {x_i} U {-x_i} so the returned bandwidth is the one to feed directly
-    into ``reflection_kde``.  The mirror is never built: its quartiles,
-    standard deviation (its mean is 0, so sqrt(mean(x^2)), the squares
-    summed block by block along numpy's own pairwise tree) and binned
-    pair counts all come from x.  Beyond x the solve holds 2 bytes a
-    point for the pair counts' bins and scratch blocks of ``_BIN_CHUNK``
-    values, never a second N-float array.  The quartiles are exact order
-    statistics of x, found by partitioning only the points of the pair
-    counts' bins that hold them (``_mirror_quartiles``).  The plug-in equation
-    ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by bisection on
-    [h_silverman / 100, 100 * h_silverman] to 1e-8 relative tolerance;
-    when the equation has no root there, Silverman's rule on the mirrored
-    sample is returned.  The second value names the method used:
-    "sheather_jones" or "silverman_fallback".
+    {x_i} U {-x_i} (Sheather & Jones 1991), so h feeds ``reflection_kde``
+    directly.  The mirror is never built: its standard deviation is
+    sqrt(mean(x^2)), summed along numpy's own pairwise tree, and x is
+    linearly binned with the KDE's ``_half_bins`` on delta = 2 max(x) /
+    ``nbins``, whose weights give the mirror's exact quartiles and, by
+    FFT, its binned pair counts (Silverman 1982, Wand 1994).
+
+    Linear binning moves h by about 0.0075 (delta / h)^2 relative, so the
+    solve needs delta <= h / 8, not the KDE's h / 32.  When the root h
+    misses that, x is binned once more, on delta = h / 16 but at most 16
+    times finer than before, which bounds the memory, and solved again.
+    The equation ``h = (R(k) / (n * S(alpha_2(h))))^(1/5)`` is solved by
+    false position in log h; without a root, Silverman's rule on the
+    mirror is returned, and the second value, the method used, says
+    "silverman_fallback" instead of "sheather_jones".
     """
     x = np.asarray(x, dtype=float)
     if x.size < 16:
         raise EmptySample("bandwidth selection needs at least 16 points")
-    if np.ptp(x) == 0:  # exact: a constant sample can have std 1e-17
+    low, m = float(x.min()), float(x.max())
+    if not low >= 0:  # NaN too
+        raise ValueError("bandwidth selection expects nonnegative data")
+    if m == low:  # exact: a constant sample can have std 1e-17
         raise ZeroVariance("sample has zero variance")
     n = 2 * x.size  # the mirror's size
     sd = math.sqrt(_square_sum(x) / x.size)
-    bins = np.empty(x.size, np.min_scalar_type(-nbins))  # 2 bytes a point
-    cnt, delta, x_counts = _pair_distance_counts(x, nbins, bins)
-    q75, q25 = _mirror_quartiles(x, bins, x_counts)
-    del bins
+    delta = 2.0 * m / nbins
+    weights = _half_bins(x, delta, int(m / delta) + 1)
+    q75, q25 = _mirror_quartiles(x, weights, delta)
     iqr = q75 - q25
     if sd <= 0 or iqr <= 0:
         raise ZeroVariance("sample has zero variance")
     scale = min(sd, iqr / 1.349)
     h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)  # Silverman's rule
-
-    a = 0.920 * scale * n ** (-1.0 / 7.0)
-    b = 0.912 * scale * n ** (-1.0 / 9.0)
-    sda = _binned_functional(cnt, delta, n, a, _hermite4, 5)
-    tdb = -_binned_functional(cnt, delta, n, b, _hermite6, 7)
-    if not (sda > 0 and tdb > 0):
-        return h_silver, "silverman_fallback"
-
-    c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
-    alpha_const = 1.357 * (sda / tdb) ** (1.0 / 7.0)
-
-    def fixed_point_gap(h):
-        s = _binned_functional(cnt, delta, n, alpha_const * h ** (5.0 / 7.0),
-                               _hermite4, 5)
-        if s <= 0:
-            return np.nan
-        return (c1 / s) ** 0.2 - h
-
-    lo, hi = h_silver / 100.0, h_silver * 100.0
-    flo, fhi = fixed_point_gap(lo), fixed_point_gap(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        return h_silver, "silverman_fallback"
-    while (hi - lo) > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        fmid = fixed_point_gap(mid)
-        if not np.isfinite(fmid):
-            return h_silver, "silverman_fallback"
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    h = 0.5 * (lo + hi)
-    return h, "sheather_jones"
+    h, method = _sj_root(weights, delta, n, scale, h_silver)
+    if delta > h / 8.0:
+        delta = max(h, delta) / 16.0
+        weights = _half_bins(x, delta, int(m / delta) + 1)
+        h, method = _sj_root(weights, delta, n, scale, h_silver)
+    return h, method
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ section volumes are distributed like the volume of an IUR section.
 Proposals are sharded over ``workers`` independent substreams, each
 filling its own slice of one array in stream order.  Workers choose the
 streams, and so the values; the usable cores choose only the speed.  The
-calling thread draws every shard's batches in turn and, on several cores,
-queues each batch's sections in pieces for ``cores - 1`` bare helper
-threads, draws and accept-tests the next batch meanwhile, from the same
+calling thread draws every shard's batches in turn, queues each batch's
+sections in pieces for ``cores - 1`` bare helper threads (none on one
+core), draws and accept-tests the next batch meanwhile, from the same
 shard or the next, and then computes the pieces still queued itself from
 the queue's tail, as helpers take its head.  A new helper
 starts on the caller's CPU and mostly stays there (one call used 0.97-1.00
@@ -139,15 +139,13 @@ def sample_iur_sections(body: ConvexBody, size: int, rng: RngStream,
     streams = [rng.derive(w) for w in range(shards)]
     mask = os.sched_getaffinity(0)
     cores = len(mask)
-    if cores == 1:
-        proposals = _draw(centered, radius, slices, streams)
-    else:
-        # threads racing to fill the body's lazy caches compute equal arrays
-        cpu = _caller_cpu()
-        spare = [] if cpu is None else sorted(mask - {cpu})
-        with _Helpers(cores - 1, mask, spare) as helpers:
-            proposals = _draw(centered, radius, slices, streams, helpers,
-                              _PIECES_PER_CORE * cores)
+    cpu = _caller_cpu()
+    spare = [] if cpu is None else sorted(mask - {cpu})
+    # threads racing to fill the body's lazy caches compute equal arrays;
+    # one core has no helpers, and computes each batch whole
+    with _Helpers(cores - 1, mask, spare) as helpers:
+        proposals = _draw(centered, radius, slices, streams, helpers,
+                          _PIECES_PER_CORE * cores if cores > 1 else 1)
     return SectionSample(
         values=values,
         n_proposed=proposals,
@@ -245,15 +243,14 @@ class _Helpers:
             thread.join()
 
 
-def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
+def _draw(body, radius, slices, streams, helpers, split) -> int:
     """Fill each slice with accepted section volumes drawn from its
     stream, in turn; return the proposals.
 
-    With a pool of ``helpers``, each batch's sections are queued there in
-    ``split`` pieces while this thread draws and accept-tests the next
-    batch, from the same slice or the next; then it computes the pieces
-    still queued itself.  At most one batch is in flight, so memory stays
-    bounded.
+    Each batch's sections are queued on the ``helpers`` pool in ``split``
+    pieces while this thread draws and accept-tests the next batch, from
+    the same slice or the next; then it computes the pieces still queued
+    itself.  At most one batch is in flight, so memory stays bounded.
     """
     nprop = 0
     # reused by every batch: with it and the stacked directions allocated
@@ -270,16 +267,12 @@ def _draw(body, radius, slices, streams, helpers=None, split=1) -> int:
             nprop += proposed
             dest = out[got:got + len(offsets)]
             got += len(offsets)
-            if helpers is None:
-                _fill(dest, body, thetas, offsets)
-                continue
             helpers.finish()
             piece = max(1, -(-len(offsets) // split))
             helpers.put([(dest[lo:lo + piece], body, thetas[lo:lo + piece],
                           offsets[lo:lo + piece])
                          for lo in range(0, len(offsets), piece)])
-    if helpers is not None:
-        helpers.finish()
+    helpers.finish()
     return nprop
 
 

@@ -51,9 +51,9 @@ def sj_inputs(monkeypatch):
     seen = []
     real_sj = density.sheather_jones_bandwidth
 
-    def spy(x, nbins=1000):
+    def spy(x, *args, **kwargs):
         seen.append(x)
-        return real_sj(x, nbins)
+        return real_sj(x, *args, **kwargs)
 
     monkeypatch.setattr(density, "sheather_jones_bandwidth", spy)
     return seen
@@ -96,23 +96,20 @@ def sj_direct_reference(x):
                                  xtol=1e-12)
 
 
-def mirrored_pair_distance_counts(y, nbins):
-    """Pair counts binned on the built mirror ``y``: the plug-in's
-    original, reference implementation."""
-    lo, hi = y.min(), y.max()
-    delta = (hi - lo) / nbins
-    idx = np.minimum(((y - lo) / delta).astype(np.intp), nbins - 1)
-    w = np.bincount(idx, minlength=nbins).astype(float)
-    ac = np.correlate(w, w, mode="full")[nbins - 1:]
-    cnt = ac.copy()
-    cnt[0] = (ac[0] - y.size) / 2.0
-    return cnt, delta
+def mirrored_half_lattice(y, delta):
+    """The built mirror ``y`` binned with the KDE's ``_lattice_weights`` on
+    the nodes k * delta: its half lattice, node 0 halved (which is exact),
+    as the plug-in's pair-count function takes it."""
+    top = int(y.max() / delta) + 1
+    half = density._lattice_weights(y, delta, top, mirror=False)[top:]
+    half[0] /= 2
+    return half
 
 
-def mirrored_sj_reference(x, nbins=1000):
+def mirrored_sj_reference(x, nbins=1 << 16):
     """The binned plug-in run on the built mirror {x_i} U {-x_i}, with the
-    mirror's own std, percentiles and pair counts: what
-    ``sheather_jones_bandwidth`` computes from x alone."""
+    mirror's own std, percentiles and lattice, and the same resolution
+    rule: what ``sheather_jones_bandwidth`` computes from x alone."""
     y = np.concatenate([x, -x])
     n = y.size
     sd = y.std()
@@ -120,36 +117,14 @@ def mirrored_sj_reference(x, nbins=1000):
     iqr = q75 - q25
     scale = min(sd, iqr / 1.349)
     h_silver = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)
-    cnt, delta = mirrored_pair_distance_counts(y, nbins)
-    functional = density._binned_functional  # looked up at call time
-    a = 0.920 * scale * n ** (-1.0 / 7.0)
-    b = 0.912 * scale * n ** (-1.0 / 9.0)
-    sda = functional(cnt, delta, n, a, density._hermite4, 5)
-    tdb = -functional(cnt, delta, n, b, density._hermite6, 7)
-    if not (sda > 0 and tdb > 0):
-        return h_silver, "silverman_fallback"
-    c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
-    alpha_const = 1.357 * (sda / tdb) ** (1.0 / 7.0)
-
-    def fixed_point_gap(h):
-        s = functional(cnt, delta, n, alpha_const * h ** (5.0 / 7.0),
-                       density._hermite4, 5)
-        return np.nan if s <= 0 else (c1 / s) ** 0.2 - h
-
-    lo, hi = h_silver / 100.0, h_silver * 100.0
-    flo, fhi = fixed_point_gap(lo), fixed_point_gap(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        return h_silver, "silverman_fallback"
-    while (hi - lo) > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        fmid = fixed_point_gap(mid)
-        if not np.isfinite(fmid):
-            return h_silver, "silverman_fallback"
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), "sheather_jones"
+    delta = (y.max() - y.min()) / nbins
+    h, method = density._sj_root(mirrored_half_lattice(y, delta), delta, n,
+                                 scale, h_silver)
+    if delta > h / 8:
+        delta = max(h, delta) / 16
+        h, method = density._sj_root(mirrored_half_lattice(y, delta), delta,
+                                     n, scale, h_silver)
+    return h, method
 
 
 def sj_samples(size):
@@ -484,32 +459,56 @@ class TestBandwidths:
         assert method == "sheather_jones"
 
     def test_quartiles_of_the_mirror_from_the_sample(self):
+        # the lattice's cumulative weights bracket the order statistics,
+        # on a fine lattice and on one so coarse that a cell holds many
+        # points, with ties and zeros
         for size in [*range(16, 401), 100_003]:
             gen = np.random.default_rng(size)
             for x in (gen.gamma(2.0, 1.0, size),
-                      gen.integers(0, 4, size).astype(float)):
+                      gen.integers(0, 4, size).astype(float),
+                      np.where(gen.random(size) < 0.3, 0.0,
+                               gen.gamma(2.0, 1.0, size))):
                 mirror = np.concatenate([x, -x])
                 expected = tuple(np.percentile(mirror, [75, 25]))
-                bins = np.empty(size, dtype=np.intp)
-                _, _, counts = density._pair_distance_counts(x, 1000, bins)
-                got = density._mirror_quartiles(x, bins, counts)
-                assert got == expected, size
+                for nbins in (16, 1 << 16):
+                    delta = 2.0 * x.max() / nbins
+                    weights = density._half_bins(x, delta,
+                                                 int(x.max() / delta) + 1)
+                    got = density._mirror_quartiles(x, weights, delta)
+                    assert got == expected, (size, nbins)
 
     @pytest.mark.parametrize("size", [17, 72, 1001, (1 << 16) + 8])
     def test_pair_counts_of_the_mirror_from_the_sample(self, size):
-        # chunked binning of x and -x counts what binning the mirror
-        # counts, chunk boundary included, for every size
+        # x's chunked weights are the built mirror's half lattice, bit for
+        # bit, and the FFT pair counts are its autocorrelation
         for x in sj_samples(size).values():
-            bins = np.empty(size, dtype=np.intp)
-            cnt, delta, counts = density._pair_distance_counts(x, 1000, bins)
-            ref_cnt, ref_delta = mirrored_pair_distance_counts(
-                np.concatenate([x, -x]), 1000)
-            assert delta == ref_delta
-            assert np.array_equal(cnt, ref_cnt)
-            # x's own bins, as binning the mirror puts them
-            ref_bins = np.minimum(((x + x.max()) / delta).astype(np.intp), 999)
-            assert np.array_equal(bins, ref_bins)
-            assert np.array_equal(counts, np.bincount(bins, minlength=1000))
+            for nbins in (1000, 4096):
+                delta = 2.0 * x.max() / nbins
+                top = int(x.max() / delta) + 1
+                weights = density._half_bins(x, delta, top)
+                mirror = np.concatenate([x, -x])
+                assert np.array_equal(weights,
+                                      mirrored_half_lattice(mirror, delta))
+                lattice = density._lattice_weights(mirror, delta, top,
+                                                   mirror=False)
+                counts = density._mirror_pair_counts(weights)
+                ref = np.correlate(lattice, lattice, mode="full")[2 * top:]
+                ref[0] /= 2
+                assert counts.shape == ref.shape
+                assert np.abs(counts - ref).max() <= 1e-12 * ref.max()
+
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        nxt = None
+        for n in range(100_000, 0, -1):
+            nxt = n if smooth(n) else nxt
+            if n < 2000 or n % 997 == 0:
+                assert density._fft_length(n) == nxt, n
 
     @pytest.mark.parametrize("size", [72, 1000, 4096, (1 << 16) + 8])
     def test_bit_identical_to_the_mirror_when_size_is_a_multiple_of_8(
@@ -549,6 +548,80 @@ class TestBandwidths:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * x.nbytes
+
+    def test_memory_does_not_grow_with_the_sample(self):
+        # the lattice, its transforms and the scratch blocks are sized by
+        # nbins and _BIN_CHUNK, not by N
+        gen = np.random.default_rng(13)
+        sheather_jones_bandwidth(gen.gamma(2.0, 1.0, 1000))
+        peaks = []
+        for size in (100_000, 4_000_000):
+            x = gen.gamma(2.0, 1.0, size)
+            tracemalloc.start()
+            try:
+                sheather_jones_bandwidth(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 1 << 20
+
+    def test_rebins_once_when_the_lattice_is_coarse(self, monkeypatch):
+        # 512 cells give delta = 0.84 h on these cube roots: one more
+        # binning at h / 16 brings h to the converged value
+        x = root_transform(sample_iur_sections(builtin_body("cube"),
+                                               100_000, RngStream(3)))
+        converged, method = sheather_jones_bandwidth(x, 1 << 21)
+        assert method == "sheather_jones"
+        deltas, real_bins = [], density._half_bins
+
+        def spy(x, delta, top):
+            deltas.append(delta)
+            return real_bins(x, delta, top)
+
+        monkeypatch.setattr(density, "_half_bins", spy)
+        h, method = sheather_jones_bandwidth(x, 512)
+        assert method == "sheather_jones"
+        assert len(deltas) == 2
+        assert deltas[0] > h / 8 and deltas[1] <= h / 8
+        assert abs(h - converged) <= 1e-3 * converged
+
+    def test_solve_takes_few_evaluations(self, monkeypatch):
+        # false position in log h with the Illinois rule: the two pilots,
+        # the bracket's ends and a few steps, where bisection to 1e-8 took
+        # 31 steps
+        calls, real = [], density._binned_functional
+
+        def spy(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(density, "_binned_functional", spy)
+        for name, x in sj_samples(100_003).items():
+            calls.clear()
+            h, method = sheather_jones_bandwidth(x)
+            assert method == "sheather_jones", name
+            assert len(calls) <= 14, (name, len(calls))
+
+    def test_root_below_a_hundredth_of_silvermans_rule(self):
+        # tied integers: the plug-in's root is about h_silver / 116, below
+        # the bracket's old lower end h_silver / 100
+        x = np.random.default_rng(65_544).integers(0, 6, 65_544)
+        x = x.astype(float)
+        y = np.concatenate([x, -x])
+        iqr = np.subtract(*np.percentile(y, [75, 25]))
+        silverman = 0.9 * min(y.std(), iqr / 1.34) * y.size ** (-0.2)
+        h, method = sheather_jones_bandwidth(x)
+        assert method == "sheather_jones"
+        assert silverman / 1000 < h < silverman / 100
+        assert (h, method) == mirrored_sj_reference(x)
+
+    def test_negative_or_nan_data_is_rejected(self):
+        x = np.random.default_rng(14).gamma(2.0, 1.0, 100)
+        for bad in (-1e-300, np.nan):
+            x[50] = bad
+            with pytest.raises(ValueError):
+                sheather_jones_bandwidth(x)
 
 
 class TestUntransform:

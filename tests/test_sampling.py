@@ -230,8 +230,8 @@ class TestIurSampling:
             assert np.array_equal(one.values, two.values), one.body_label
             assert one.n_proposed == two.n_proposed
         # the calling thread draws every shard beside cores - 1 helpers,
-        # and one core runs with no pool
-        assert pools == ([cores - 1] * 3 if cores > 1 else [])
+        # none on one core
+        assert pools == [cores - 1] * 3
 
     def test_helper_error_reaches_the_caller(self, cube, monkeypatch,
                                              fake_setaffinity):
@@ -270,15 +270,16 @@ class TestIurSampling:
         # 10 sections over 3 workers: slices of 4, 3 and 3 sections, drawn
         # from substreams 0, 1 and 2 and laid out in that order
         from sectionlab.geometry import translate_body
-        from sectionlab.sampling import _draw
+        from sectionlab.sampling import _draw, _Helpers
 
         centered = translate_body(cube, -cube.centroid)
         radius = enclosing_radius(centered)
         slices, proposals = [], 0
         for w, quota in enumerate((4, 3, 3)):
             out = np.empty(quota)
-            proposals += _draw(centered, radius, [out],
-                               [RngStream(5).derive(w)])
+            with _Helpers(0, set(), []) as helpers:  # this thread alone
+                proposals += _draw(centered, radius, [out],
+                                   [RngStream(5).derive(w)], helpers, 1)
             slices.append(out)
         sample = sample_iur_sections(cube, 10, RngStream(5), workers=3)
         assert np.array_equal(sample.values, np.concatenate(slices))
